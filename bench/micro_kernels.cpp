@@ -79,20 +79,34 @@ BENCHMARK(BM_UngappedBlockedOneVsMany)
     ->Arg(1)
     ->ArgName("blocked");
 
-void BM_PeComputeWindow(benchmark::State& state) {
-  const std::size_t length = 64;
-  const auto a = random_residues(length, 3);
-  const auto b = random_residues(length, 4);
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  rasc::ProcessingElement pe(length, m);
-  for (std::size_t i = 0; i < length; ++i) pe.load_residue(a[i], 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pe.compute_window(b.data()));
+void BM_PeBatchEngine(benchmark::State& state) {
+  // One PE's duty -- a stored IL0 window against a stream of IL1 windows
+  // -- as the batch engine scores it (through the align kernels).
+  util::Xoshiro256 rng(3);
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  bank.add(sim::generate_protein("pool", 4000, rng));
+  const index::WindowShape shape{4, 30};
+  index::WindowBatch il0(shape.length());
+  index::WindowBatch il1(shape.length());
+  il0.append(bank, index::Occurrence{0, 500}, shape);
+  for (std::uint32_t j = 0; j < 64; ++j) {
+    il1.append(bank, index::Occurrence{0, 41 + 13 * j}, shape);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(length));
+  rasc::PscConfig config;
+  config.num_pes = 1;
+  config.slot_size = 1;
+  config.window_length = shape.length();
+  rasc::PscOperator op(config, bio::SubstitutionMatrix::blosum62());
+  std::vector<rasc::ResultRecord> sink;
+  for (auto _ : state) {
+    sink.clear();
+    op.run_key(il0, il1, sink);
+    benchmark::DoNotOptimize(sink.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 *
+                          static_cast<std::int64_t>(shape.length()));
 }
-BENCHMARK(BM_PeComputeWindow);
+BENCHMARK(BM_PeBatchEngine);
 
 void BM_XdropUngapped(benchmark::State& state) {
   const auto a = random_residues(400, 5);

@@ -65,6 +65,14 @@ UngappedKernel resolve_ungapped_kernel(UngappedKernel requested,
                                        const bio::SubstitutionMatrix& matrix,
                                        std::size_t window_length) noexcept;
 
+/// Smallest IL1 batch for which the striped kernel is worth its setup:
+/// the striped transpose and per-IL0 profile build only pay off once the
+/// batch fills a couple of lane groups, and below that the blocked kernel
+/// wins. Since the kernels agree bit-for-bit, a per-batch switch at this
+/// cutover cannot change any score.
+inline constexpr std::size_t kSimdMinBatch =
+    2 * index::StripedWindows::kLaneWidth;
+
 /// Scores `profile` against every window of `windows`; scores[i] receives
 /// the max-prefix-sum score of window i. Dispatches to the best ISA tier
 /// detected at startup. profile.length() must equal

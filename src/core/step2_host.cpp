@@ -6,7 +6,6 @@
 #include "align/ungapped.hpp"
 #include "index/neighborhood.hpp"
 #include "util/executor.hpp"
-#include "util/executor.hpp"
 
 namespace psc::core {
 
@@ -54,14 +53,9 @@ std::uint64_t process_key(
   const index::WindowBatch& batch0 = scratch.batch0;
   const index::WindowBatch& batch1 = scratch.batch1;
   std::vector<int>& scores = scratch.scores;
-  // The striped transpose and per-IL0 profile build only pay off once the
-  // IL1 list fills a couple of lane groups; below that the blocked kernel
-  // wins, and since the kernels agree bit-for-bit the per-key switch
-  // cannot change the hit set.
-  constexpr std::size_t kSimdMinBatch = 2 * index::StripedWindows::kLaneWidth;
   align::UngappedKernel key_kernel = kernel;
   if (kernel == align::UngappedKernel::kSimd) {
-    if (batch1.size() >= kSimdMinBatch) {
+    if (batch1.size() >= align::kSimdMinBatch) {
       scratch.striped1.assign(batch1);
     } else {
       key_kernel = align::UngappedKernel::kBlocked;
@@ -110,34 +104,6 @@ std::uint64_t process_key_range(
   return pairs;
 }
 
-/// Greedy cut of a per-item cost vector into at most `parts` contiguous
-/// ranges of approximately equal total cost. All-zero costs degrade to
-/// equal-count blocks so empty tables still spread across workers.
-std::vector<std::pair<std::size_t, std::size_t>> chunks_by_cost(
-    const std::vector<std::uint64_t>& cost, std::size_t parts) {
-  const std::size_t count = cost.size();
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  if (count == 0) return chunks;
-  if (parts == 0) parts = 1;
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : cost) total += c;
-  if (total == 0) return util::blocks(0, count, parts);
-  const std::uint64_t target = (total + parts - 1) / parts;
-  chunks.reserve(parts);
-  std::size_t begin = 0;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc += cost[i];
-    if (acc >= target && chunks.size() + 1 < parts) {
-      chunks.emplace_back(begin, i + 1);
-      begin = i + 1;
-      acc = 0;
-    }
-  }
-  if (begin < count) chunks.emplace_back(begin, count);
-  return chunks;
-}
-
 }  // namespace
 
 void normalize_step2_hits(std::vector<align::SeedPairHit>& hits) {
@@ -165,7 +131,7 @@ std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     cost[k] = static_cast<std::uint64_t>(table0.list_length(key)) *
               table1.list_length(key);
   }
-  return chunks_by_cost(cost, parts);
+  return util::chunks_by_cost(cost, parts);
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
@@ -176,7 +142,7 @@ std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     cost[i] = static_cast<std::uint64_t>(table0.list_length(keys[i])) *
               table1.list_length(keys[i]);
   }
-  return chunks_by_cost(cost, parts);
+  return util::chunks_by_cost(cost, parts);
 }
 
 HostStep2Result run_step2_host(

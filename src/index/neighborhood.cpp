@@ -25,6 +25,23 @@ void WindowBatch::append(const bio::SequenceBank& bank, const Occurrence& occ,
   sources_.push_back(occ);
 }
 
+void WindowBatch::assign(const WindowBatch& from, std::size_t first,
+                         std::size_t count) {
+  if (from.window_length_ != window_length_) {
+    throw std::invalid_argument("WindowBatch::assign: window length mismatch");
+  }
+  if (first > from.size() || count > from.size() - first) {
+    throw std::out_of_range("WindowBatch::assign: range past end of batch");
+  }
+  const auto begin = static_cast<std::ptrdiff_t>(first);
+  const auto end = static_cast<std::ptrdiff_t>(first + count);
+  const auto length = static_cast<std::ptrdiff_t>(window_length_);
+  residues_.assign(from.residues_.begin() + begin * length,
+                   from.residues_.begin() + end * length);
+  sources_.assign(from.sources_.begin() + begin,
+                  from.sources_.begin() + end);
+}
+
 void extract_windows(const bio::SequenceBank& bank,
                      std::span<const Occurrence> list,
                      const WindowShape& shape, WindowBatch& out) {

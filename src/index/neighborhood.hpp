@@ -51,6 +51,10 @@ class WindowBatch {
   const Occurrence& source(std::size_t i) const { return sources_[i]; }
   const std::vector<std::uint8_t>& flat() const { return residues_; }
 
+  /// Replaces the contents with windows [first, first + count) of `from`,
+  /// which must have the same window length (reuses storage).
+  void assign(const WindowBatch& from, std::size_t first, std::size_t count);
+
   /// Appends the window centred on `occ`'s seed in `bank`, padding with X
   /// where the flank extends past either end of the sequence.
   void append(const bio::SequenceBank& bank, const Occurrence& occ,

@@ -45,15 +45,4 @@ void PeSlot::compute_cycle(std::uint8_t il1_residue, std::uint32_t il1_index,
   }
 }
 
-void PeSlot::compute_window(const std::uint8_t* il1_window,
-                            std::uint32_t il1_index,
-                            std::vector<ResultRecord>& passing) {
-  for (std::size_t i = 0; i < loaded_; ++i) {
-    const int score = pes_[i].compute_window(il1_window);
-    if (score >= threshold_) {
-      passing.push_back(ResultRecord{pes_[i].il0_index(), il1_index, score});
-    }
-  }
-}
-
 }  // namespace psc::rasc

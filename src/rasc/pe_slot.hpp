@@ -3,6 +3,7 @@
 // register barriers; their cost is modeled as the constant pipeline-fill
 // latency PscConfig::skew_cycles() rather than per-slot stream skew, so
 // the batch and cycle-exact simulators agree (see rasc/psc_operator.hpp).
+// Only the cycle-exact engine drives slots.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +40,6 @@ class PeSlot {
   /// appended to `passing` tagged with il1_index.
   void compute_cycle(std::uint8_t il1_residue, std::uint32_t il1_index,
                      std::vector<ResultRecord>& passing);
-
-  /// Batch fast path: scores one whole IL1 window on every loaded PE.
-  void compute_window(const std::uint8_t* il1_window, std::uint32_t il1_index,
-                      std::vector<ResultRecord>& passing);
 
   ProcessingElement& pe(std::size_t i) { return pes_[i]; }
 

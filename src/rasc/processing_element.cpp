@@ -53,21 +53,4 @@ std::optional<int> ProcessingElement::compute_cycle(std::uint8_t il1_residue) {
   return result;
 }
 
-int ProcessingElement::compute_window(const std::uint8_t* il1_window) {
-  if (!loaded()) {
-    throw std::logic_error("ProcessingElement::compute_window: not loaded");
-  }
-  // Raw ROM indexing: window residues are encoder output (always < 24),
-  // so the clamping in SubstitutionMatrix::score is not needed here.
-  const auto* cells = rom_->cells().data();
-  int score = 0;
-  int best = 0;
-  for (std::size_t k = 0; k < window_.size(); ++k) {
-    score += cells[window_[k] * bio::kProteinAlphabetSize + il1_window[k]];
-    if (score < 0) score = 0;
-    if (score > best) best = score;
-  }
-  return best;
-}
-
 }  // namespace psc::rasc

@@ -38,10 +38,6 @@ class ProcessingElement {
   /// maximum score when this cycle completes a window, otherwise nullopt.
   std::optional<int> compute_cycle(std::uint8_t il1_residue);
 
-  /// Scores an entire IL1 window in one call (fast path used by the batch
-  /// simulator; bit-identical to window_length compute_cycle calls).
-  int compute_window(const std::uint8_t* il1_window);
-
   std::size_t window_length() const { return window_.size(); }
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "align/ungapped.hpp"
+
 namespace psc::rasc {
 
 OperatorStats& OperatorStats::operator+=(const OperatorStats& other) {
@@ -19,11 +21,25 @@ OperatorStats& OperatorStats::operator+=(const OperatorStats& other) {
   return *this;
 }
 
+namespace {
+
+/// IL1 windows scored per tile by the batch engine: the tile's striped
+/// image (kIl1Tile x window_length bytes) stays cache-resident while every
+/// loaded PE's profile streams past it, and the per-tile scratch does not
+/// grow with the IL1 list.
+constexpr std::size_t kIl1Tile = 256;
+
+}  // namespace
+
 PscOperator::PscOperator(const PscConfig& config,
                          const bio::SubstitutionMatrix& rom)
     : config_(config),
       rom_(&rom),
-      cascade_(config.num_slots(), config.fifo_depth) {
+      cascade_(config.num_slots(), config.fifo_depth),
+      kernel_(align::resolve_ungapped_kernel(align::UngappedKernel::kAuto,
+                                             rom, config.window_length)),
+      tile_(config.window_length),
+      counts_(kIl1Tile + 1) {
   config_.validate();
   slots_.reserve(config_.num_slots());
   std::size_t remaining = config_.num_pes;
@@ -35,18 +51,51 @@ PscOperator::PscOperator(const PscConfig& config,
   }
 }
 
-std::size_t PscOperator::total_loaded() const {
-  std::size_t total = 0;
-  for (const auto& slot : slots_) total += slot.loaded_pes();
-  return total;
-}
-
 void PscOperator::reset_array() {
   for (auto& slot : slots_) slot.reset();
 }
 
 double PscOperator::modeled_seconds() const {
   return static_cast<double>(stats_.cycles_total()) / config_.clock_hz;
+}
+
+void PscOperator::score_tile(const index::WindowBatch& il0, std::size_t first,
+                             std::size_t loaded,
+                             const index::WindowBatch& tile,
+                             std::size_t tile_first, bool simd,
+                             std::vector<ResultRecord>& out) {
+  const std::size_t width = tile.size();
+  if (simd) striped_.assign(tile);
+  // Score PE by PE (one kernel call per loaded IL0 window), keeping only
+  // passing pairs and counting them per IL1 window.
+  pending_.clear();
+  std::fill_n(counts_.begin(), width + 1, 0u);
+  for (std::size_t i = 0; i < loaded; ++i) {
+    if (simd) {
+      align::ungapped_score_profile_vs_striped(profiles_[i], striped_,
+                                               scores_);
+    } else {
+      align::ungapped_score_one_vs_many_blocked(il0.window(first + i), tile,
+                                                *rom_, scores_);
+    }
+    for (std::size_t j = 0; j < width; ++j) {
+      if (scores_[j] >= config_.threshold) {
+        pending_.push_back(
+            ResultRecord{static_cast<std::uint32_t>(first + i),
+                         static_cast<std::uint32_t>(tile_first + j),
+                         scores_[j]});
+        ++counts_[j + 1];
+      }
+    }
+  }
+  // Counting sort into the array's completion order: IL1 window major,
+  // then IL0 window (pending_ is already IL0-ordered per IL1 window).
+  for (std::size_t j = 0; j < width; ++j) counts_[j + 1] += counts_[j];
+  const std::size_t base = out.size();
+  out.resize(base + pending_.size());
+  for (const ResultRecord& record : pending_) {
+    out[base + counts_[record.il1_index - tile_first]++] = record;
+  }
 }
 
 void PscOperator::run_key(const index::WindowBatch& il0,
@@ -63,51 +112,53 @@ void PscOperator::run_key(const index::WindowBatch& il0,
   const std::size_t pe_count = config_.num_pes;
   const std::size_t k0 = il0.size();
   const std::size_t k1 = il1.size();
+  const bool simd =
+      kernel_ == align::UngappedKernel::kSimd && k1 >= align::kSimdMinBatch;
+  if (simd && profiles_.size() < std::min(pe_count, k0)) {
+    profiles_.resize(std::min(pe_count, k0));
+  }
 
   for (std::size_t first = 0; first < k0; first += pe_count) {
     const std::size_t loaded = std::min(pe_count, k0 - first);
-    reset_array();
-    // Load phase: windows are distributed slot by slot; the batch engine
-    // does not stream residues individually, but the cycle cost is the
-    // stream cost.
-    {
-      std::size_t next = first;
-      for (auto& slot : slots_) {
-        while (slot.has_free_pe() && next < first + loaded) {
-          const auto window = il0.window(next);
-          for (std::size_t r = 0; r < length; ++r) {
-            slot.load_residue(window[r], static_cast<std::uint32_t>(next));
-          }
-          ++next;
-        }
+    // Load phase: the PEs latch their IL0 windows (here: one score
+    // profile each); the cycle cost is the stream cost.
+    if (simd) {
+      for (std::size_t i = 0; i < loaded; ++i) {
+        profiles_[i].build(il0.window(first + i), *rom_);
       }
     }
     stats_.cycles_load += loaded * length + config_.skew_cycles();
 
     // Compute phase: every IL1 window streams past every loaded PE.
     std::size_t backlog = 0;
-    for (std::size_t j = 0; j < k1; ++j) {
-      // The L streaming cycles of window j drain up to L buffered records.
-      backlog -= std::min(backlog, length);
-
-      scratch_.clear();
-      const std::uint8_t* window = il1.window(j).data();
-      for (auto& slot : slots_) {
-        slot.compute_window(window, static_cast<std::uint32_t>(j), scratch_);
+    for (std::size_t tile_first = 0; tile_first < k1; tile_first += kIl1Tile) {
+      const std::size_t width = std::min(kIl1Tile, k1 - tile_first);
+      const index::WindowBatch* tile = &il1;
+      if (width != k1) {
+        tile_.assign(il1, tile_first, width);
+        tile = &tile_;
       }
-      stats_.comparisons += loaded;
-      stats_.hits += scratch_.size();
+      score_tile(il0, first, loaded, *tile, tile_first, simd, out);
 
-      backlog += scratch_.size();
-      if (backlog > capacity) {
-        // Completion tick overflows the cascade: the master controller
-        // pauses the stream one cycle per excess record while the output
-        // port drains.
-        stats_.cycles_stall += backlog - capacity;
-        backlog = capacity;
+      std::size_t previous = 0;
+      for (std::size_t j = 0; j < width; ++j) {
+        // The L streaming cycles of window j drain up to L buffered
+        // records; its completion tick then pushes its hits.
+        backlog -= std::min(backlog, length);
+        const std::size_t hits = counts_[j] - previous;
+        previous = counts_[j];
+        stats_.hits += hits;
+        backlog += hits;
+        if (backlog > capacity) {
+          // Completion tick overflows the cascade: the master controller
+          // pauses the stream one cycle per excess record while the
+          // output port drains.
+          stats_.cycles_stall += backlog - capacity;
+          backlog = capacity;
+        }
       }
-      out.insert(out.end(), scratch_.begin(), scratch_.end());
     }
+    stats_.comparisons += loaded * k1;
     stats_.cycles_compute += k1 * length + config_.skew_cycles();
     stats_.cycles_drain += backlog;
 

@@ -8,12 +8,19 @@
 //    advance their shift registers and score datapaths, result managers
 //    push into the slot FIFOs, the cascade forwards and the output
 //    controller pops one record per cycle. This is the reference
-//    implementation of the architecture.
+//    implementation of the architecture and the only engine that drives
+//    ProcessingElement / PeSlot.
 //
-//  * run_key -- the batch engine: functionally identical scores (each PE
-//    scores whole windows via the same datapath), with clock cycles
-//    accounted per phase by the closed-form timing model below. Benches
-//    use this engine; tests verify it against the cycle-exact engine.
+//  * run_key -- the batch engine: no PE is loaded. Each round's score
+//    block (loaded IL0 windows x IL1 windows) comes from the host step-2
+//    kernels in align/ (the striped SIMD kernel, one lane per PE, or the
+//    blocked kernel for short IL1 lists and matrices the SIMD tier cannot
+//    score exactly), which compute the PE datapath's max-prefix-sum
+//    bit-for-bit. IL1 is scored in fixed-size tiles, and records are
+//    emitted in the array's completion order (round, then IL1 window,
+//    then IL0 window) with each IL1 window's hit count fed to the
+//    closed-form timing model below. Benches use this engine; tests
+//    verify its records against the cycle-exact engine.
 //
 // Timing model (per round with p loaded PEs, q IL1 windows, window
 // length L, cascade capacity C):
@@ -30,6 +37,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "align/score_profile.hpp"
+#include "align/ungapped_simd.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "index/neighborhood.hpp"
 #include "rasc/controllers.hpp"
@@ -77,7 +86,8 @@ class PscOperator {
 
   /// Batch engine: scores every IL0 x IL1 window pair for one seed key,
   /// appending above-threshold results to `out` (indices are positions in
-  /// the respective batches). Updates stats with modeled cycles.
+  /// the respective batches) in the order the cycle-exact engine's slots
+  /// complete them. Updates stats with modeled cycles.
   void run_key(const index::WindowBatch& il0, const index::WindowBatch& il1,
                std::vector<ResultRecord>& out);
 
@@ -94,16 +104,31 @@ class PscOperator {
   double modeled_seconds() const;
 
  private:
-  std::size_t total_loaded() const;
   void reset_array();
+  /// Scores loaded IL0 windows [first, first + loaded) against `tile`
+  /// (IL1 windows [tile_first, tile_first + tile.size())) and appends the
+  /// passing records to `out` ordered by IL1 window, then IL0 window.
+  /// counts_[j] ends as the record count of the tile's windows <= j.
+  void score_tile(const index::WindowBatch& il0, std::size_t first,
+                  std::size_t loaded, const index::WindowBatch& tile,
+                  std::size_t tile_first, bool simd,
+                  std::vector<ResultRecord>& out);
 
   PscConfig config_;
   const bio::SubstitutionMatrix* rom_;
+  // The array, stepped by the cycle-exact engine.
   std::vector<PeSlot> slots_;
   FifoCascade cascade_;
   OutputController output_;
   OperatorStats stats_;
-  std::vector<ResultRecord> scratch_;
+  // Batch engine scratch, bounded by num_pes and the IL1 tile size.
+  align::UngappedKernel kernel_;
+  index::WindowBatch tile_;
+  index::StripedWindows striped_;
+  std::vector<align::ScoreProfile> profiles_;
+  std::vector<int> scores_;
+  std::vector<ResultRecord> pending_;
+  std::vector<std::uint32_t> counts_;
 };
 
 }  // namespace psc::rasc

@@ -3,6 +3,7 @@
 #include "rasc/sgi_core.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "util/executor.hpp"
@@ -11,13 +12,78 @@ namespace psc::rasc {
 
 namespace {
 
+/// Key chunks per executor worker when a partition is spread across the
+/// executor: fine enough that dynamic dispatch absorbs the LPT order's
+/// heavy head, coarse enough that per-chunk operator setup stays noise.
+constexpr std::size_t kKeyChunksPerWorker = 4;
+
 /// Work done by one FPGA over its key partition.
 struct FpgaTask {
   std::size_t fpga = 0;  ///< which board FPGA this partition drives
   std::vector<index::SeedKey> keys;
+  std::vector<std::uint64_t> weights;  ///< LPT weight of each key
   std::vector<align::SeedPairHit> hits;
   FpgaRunReport report;
 };
+
+/// One contiguous run of a partition's keys on its own operator. The
+/// operator state carried from key to key is only the stats counters, so
+/// chunk results concatenate and sum to the single-operator run.
+struct KeyChunk {
+  std::vector<align::SeedPairHit> hits;
+  OperatorStats stats;
+  std::uint64_t residues_streamed = 0;
+  std::uint64_t results_returned = 0;
+};
+
+void run_chunk(const bio::SequenceBank& bank0, const index::IndexTable& table0,
+               const bio::SequenceBank& bank1, const index::IndexTable& table1,
+               const bio::SubstitutionMatrix& matrix,
+               const RascStep2Config& config,
+               std::span<const index::SeedKey> keys, KeyChunk& chunk) {
+  PscOperator op(config.psc, matrix);
+  index::WindowBatch batch0(config.shape.length());
+  index::WindowBatch batch1(config.shape.length());
+  std::vector<ResultRecord> records;
+
+  for (const index::SeedKey key : keys) {
+    const auto list0 = table0.occurrences(key);
+    const auto list1 = table1.occurrences(key);
+    if (list0.empty() || list1.empty()) continue;
+
+    index::extract_windows(bank0, list0, config.shape, batch0);
+    index::extract_windows(bank1, list1, config.shape, batch1);
+
+    records.clear();
+    if (config.cycle_exact) {
+      op.run_key_cycle_exact(batch0, batch1, records);
+    } else {
+      op.run_key(batch0, batch1, records);
+    }
+
+    if (config.board != nullptr) {
+      // Stateful board: only the query-side (IL0) windows cross
+      // NUMAlink per run; the IL1 windows re-stream from the resident
+      // SRAM image, a cost the operator's compute cycles already carry.
+      chunk.residues_streamed += batch0.size() * config.shape.length();
+    } else {
+      // Legacy: every round streams the IL1 set once and its PE loads
+      // once, all priced as host DMA.
+      const std::size_t rounds =
+          (batch0.size() + config.psc.num_pes - 1) / config.psc.num_pes;
+      chunk.residues_streamed +=
+          (batch0.size() + rounds * batch1.size()) * config.shape.length();
+    }
+    chunk.results_returned += records.size();
+
+    for (const ResultRecord& record : records) {
+      chunk.hits.push_back(align::SeedPairHit{
+          batch0.source(record.il0_index), batch1.source(record.il1_index),
+          record.score});
+    }
+  }
+  chunk.stats = op.stats();
+}
 
 void run_partition(const bio::SequenceBank& bank0,
                    const index::IndexTable& table0,
@@ -25,7 +91,6 @@ void run_partition(const bio::SequenceBank& bank0,
                    const index::IndexTable& table1,
                    const bio::SubstitutionMatrix& matrix,
                    const RascStep2Config& config, FpgaTask& task) {
-  PscOperator op(config.psc, matrix);
   PlatformModel platform(config.platform);
 
   // Residency: consult the shared board state when the caller models the
@@ -57,48 +122,43 @@ void run_partition(const bio::SequenceBank& bank0,
     task.report.upload_seconds_saved = upload_seconds;
   }
 
-  index::WindowBatch batch0(config.shape.length());
-  index::WindowBatch batch1(config.shape.length());
-  std::vector<ResultRecord> records;
+  // The simulated keys: one chunk on the calling thread, or contiguous
+  // LPT-weighted chunks spread across the shared executor.
+  const std::span<const index::SeedKey> keys(task.keys);
+  std::vector<std::pair<std::size_t, std::size_t>> ranges{{0, keys.size()}};
+  util::Executor& exec = util::Executor::shared();
+  if (config.threaded) {
+    ranges = util::chunks_by_cost(task.weights,
+                                  exec.size() * kKeyChunksPerWorker);
+  }
+  std::vector<KeyChunk> chunks(ranges.size());
+  auto run = [&](std::size_t c) {
+    run_chunk(bank0, table0, bank1, table1, matrix, config,
+              keys.subspan(ranges[c].first,
+                           ranges[c].second - ranges[c].first),
+              chunks[c]);
+  };
+  if (chunks.size() > 1) {
+    util::Executor::TaskGroup group(exec);
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      group.run([&run, c] { run(c); });
+    }
+    group.wait();
+  } else if (!chunks.empty()) {
+    run(0);
+  }
 
+  OperatorStats stats;
   std::uint64_t residues_streamed = 0;
   std::uint64_t results_returned = 0;
-
-  for (const index::SeedKey key : task.keys) {
-    const auto list0 = table0.occurrences(key);
-    const auto list1 = table1.occurrences(key);
-    if (list0.empty() || list1.empty()) continue;
-
-    index::extract_windows(bank0, list0, config.shape, batch0);
-    index::extract_windows(bank1, list1, config.shape, batch1);
-
-    records.clear();
-    if (config.cycle_exact) {
-      op.run_key_cycle_exact(batch0, batch1, records);
-    } else {
-      op.run_key(batch0, batch1, records);
-    }
-
-    if (config.board != nullptr) {
-      // Stateful board: only the query-side (IL0) windows cross
-      // NUMAlink per run; the IL1 windows re-stream from the resident
-      // SRAM image, a cost the operator's compute cycles already carry.
-      residues_streamed += batch0.size() * config.shape.length();
-    } else {
-      // Legacy: every round streams the IL1 set once and its PE loads
-      // once, all priced as host DMA.
-      const std::size_t rounds =
-          (batch0.size() + config.psc.num_pes - 1) / config.psc.num_pes;
-      residues_streamed +=
-          (batch0.size() + rounds * batch1.size()) * config.shape.length();
-    }
-    results_returned += records.size();
-
-    for (const ResultRecord& record : records) {
-      task.hits.push_back(align::SeedPairHit{
-          batch0.source(record.il0_index), batch1.source(record.il1_index),
-          record.score});
-    }
+  std::size_t total_hits = 0;
+  for (const KeyChunk& chunk : chunks) total_hits += chunk.hits.size();
+  task.hits.reserve(total_hits);
+  for (KeyChunk& chunk : chunks) {
+    stats += chunk.stats;
+    residues_streamed += chunk.residues_streamed;
+    results_returned += chunk.results_returned;
+    task.hits.insert(task.hits.end(), chunk.hits.begin(), chunk.hits.end());
   }
 
   // One DMA descriptor chain per SRAM-sized chunk of streamed input; each
@@ -118,19 +178,20 @@ void run_partition(const bio::SequenceBank& bank0,
                        static_cast<std::uint64_t>(config.psc.threshold));
     adr.write_register(AdrRegister::kWindowLength, config.shape.length());
     for (std::size_t i = 0; i < invocations; ++i) {
-      adr.write_register(AdrRegister::kIl0Count, op.stats().rounds);
-      adr.write_register(AdrRegister::kIl1Count, op.stats().comparisons);
+      adr.write_register(AdrRegister::kIl0Count, stats.rounds);
+      adr.write_register(AdrRegister::kIl1Count, stats.comparisons);
       adr.ring_doorbell();
       platform.add_invocation();
-      adr.complete(results_returned, op.stats().cycles_total());
+      adr.complete(results_returned, stats.cycles_total());
       adr.read_register(AdrRegister::kStatus);
     }
     adr.read_register(AdrRegister::kResultCount);
     adr.read_register(AdrRegister::kCycleCounter);
   }
 
-  task.report.stats = op.stats();
-  task.report.compute_seconds = op.modeled_seconds();
+  task.report.stats = stats;
+  task.report.compute_seconds =
+      static_cast<double>(stats.cycles_total()) / config.psc.clock_hz;
   task.report.transfer_seconds =
       platform.input_seconds() + platform.output_seconds();
   task.report.overhead_seconds =
@@ -198,13 +259,15 @@ RascStep2Result run_rasc_step2_keys(const bio::SequenceBank& bank0,
       const std::size_t target = static_cast<std::size_t>(
           std::min_element(load.begin(), load.end()) - load.begin());
       tasks[target].keys.push_back(key);
+      tasks[target].weights.push_back(weight);
       load[target] += weight;
     }
   }
 
   // Drive each FPGA concurrently when asked (the paper's pthread version
   // used one process per FPGA); the shared executor supplies the
-  // concurrency instead of spawning throwaway threads per call.
+  // concurrency instead of spawning throwaway threads per call, and each
+  // FPGA task spreads its key chunks across it (run_partition).
   if (config.threaded && config.num_fpgas > 1) {
     util::Executor::TaskGroup group(util::Executor::shared(), tasks.size());
     for (auto& task : tasks) {

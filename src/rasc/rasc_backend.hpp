@@ -5,9 +5,18 @@
 // the modeled accelerator time (cycles at 100 MHz + DMA transfers +
 // driver overheads).
 //
-// With num_fpgas == 2 the key space is partitioned by estimated work and
-// each partition runs on its own operator in its own thread -- the
-// structure of the paper's pthread experiment (section 4.1, Table 3).
+// With num_fpgas == 2 the key space is partitioned by estimated work
+// (greedy longest-processing-time) between the two FPGAs -- the structure
+// of the paper's pthread experiment (section 4.1, Table 3).
+//
+// Threading (RascStep2Config::threaded): one executor task per FPGA, and
+// inside it the FPGA's partition is cut into contiguous key chunks of
+// about equal LPT weight, each simulated on its own PscOperator on the
+// shared executor. Chunk hits are concatenated and chunk statistics
+// summed in key order before the platform and ADR accounting, so the
+// hits (order included), every FpgaRunReport field and the BoardCache
+// counters equal the sequential driver's (threaded = false: one operator
+// per FPGA, FPGAs one after the other on the calling thread).
 #pragma once
 
 #include <cstdint>
@@ -31,9 +40,9 @@ struct RascStep2Config {
   /// Run the cycle-exact engine instead of the batch engine (slow; for
   /// validation and traces).
   bool cycle_exact = false;
-  /// Drive each FPGA from its own host thread (the pthread structure of
-  /// section 4.1). Modeled time is unaffected; this exercises the
-  /// concurrent driver path.
+  /// Drive each FPGA from its own executor task (the pthread structure of
+  /// section 4.1) and spread its keys across the shared executor.
+  /// Results and modeled time are unaffected; only host wall time moves.
   bool threaded = true;
   /// Cross-run board state (board_cache.hpp). nullptr keeps the legacy
   /// stateless accounting: every run charges a bitstream load and

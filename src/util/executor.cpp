@@ -30,6 +30,31 @@ std::vector<std::pair<std::size_t, std::size_t>> blocks(std::size_t begin,
   return out;
 }
 
+std::vector<std::pair<std::size_t, std::size_t>> chunks_by_cost(
+    const std::vector<std::uint64_t>& cost, std::size_t parts) {
+  const std::size_t count = cost.size();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  if (count == 0) return chunks;
+  if (parts == 0) parts = 1;
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : cost) total += c;
+  if (total == 0) return blocks(0, count, parts);
+  const std::uint64_t target = (total + parts - 1) / parts;
+  chunks.reserve(parts);
+  std::size_t begin = 0;
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    acc += cost[i];
+    if (acc >= target && chunks.size() + 1 < parts) {
+      chunks.emplace_back(begin, i + 1);
+      begin = i + 1;
+      acc = 0;
+    }
+  }
+  if (begin < count) chunks.emplace_back(begin, count);
+  return chunks;
+}
+
 namespace {
 
 // Which executor (if any) owns the current thread, and the index of its

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -39,6 +40,13 @@ std::size_t default_thread_count();
 std::vector<std::pair<std::size_t, std::size_t>> blocks(std::size_t begin,
                                                         std::size_t end,
                                                         std::size_t parts);
+
+/// Greedy cut of a per-item cost vector into at most `parts` contiguous
+/// [lo,hi) ranges of approximately equal total cost, covering every item
+/// in order. All-zero costs degrade to blocks() so empty work still
+/// spreads across workers.
+std::vector<std::pair<std::size_t, std::size_t>> chunks_by_cost(
+    const std::vector<std::uint64_t>& cost, std::size_t parts);
 
 class Executor {
  public:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace psc::index {
 namespace {
 
@@ -80,6 +82,27 @@ TEST(WindowBatch, ClearResets) {
   batch.clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.flat().size(), 0u);
+}
+
+TEST(WindowBatch, AssignCopiesSubRange) {
+  const auto bank = one_protein("MKVLARNDCQEGHILK");
+  const WindowShape shape{4, 0};
+  WindowBatch all(shape.length());
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    all.append(bank, Occurrence{0, 4 * p}, shape);
+  }
+  WindowBatch tile(shape.length());
+  tile.append(bank, Occurrence{0, 1}, shape);  // replaced, not appended to
+  tile.assign(all, 1, 2);
+  ASSERT_EQ(tile.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(tile.source(i).offset, all.source(1 + i).offset);
+    EXPECT_TRUE(std::equal(tile.window(i).begin(), tile.window(i).end(),
+                           all.window(1 + i).begin()));
+  }
+  EXPECT_THROW(tile.assign(all, 3, 2), std::out_of_range);
+  WindowBatch other_length(shape.length() + 1);
+  EXPECT_THROW(other_length.assign(all, 0, 1), std::invalid_argument);
 }
 
 TEST(ExtractWindows, ExtractsAllOccurrences) {

@@ -13,6 +13,13 @@ std::vector<std::uint8_t> encode(const std::string& letters) {
   return out;
 }
 
+/// Streams one whole IL1 window through the slot, cycle by cycle.
+void stream_window(PeSlot& slot, const std::vector<std::uint8_t>& il1,
+                   std::uint32_t il1_index,
+                   std::vector<ResultRecord>& passing) {
+  for (const std::uint8_t r : il1) slot.compute_cycle(r, il1_index, passing);
+}
+
 TEST(PeSlot, LoadsWindowsSequentially) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   PeSlot slot(0, 2, 4, m, 0);
@@ -35,7 +42,7 @@ TEST(PeSlot, LoadIntoFullSlotThrows) {
   EXPECT_THROW(slot.load_residue(0, 1), std::logic_error);
 }
 
-TEST(PeSlot, ComputeWindowScoresAllLoadedPes) {
+TEST(PeSlot, WholeWindowScoresAllLoadedPes) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   PeSlot slot(0, 3, 4, m, 0);  // threshold 0: everything passes
   const auto w1 = encode("MKVL");
@@ -45,7 +52,7 @@ TEST(PeSlot, ComputeWindowScoresAllLoadedPes) {
 
   const auto il1 = encode("MKVL");
   std::vector<ResultRecord> passing;
-  slot.compute_window(il1.data(), 99, passing);
+  stream_window(slot, il1, 99, passing);
   ASSERT_EQ(passing.size(), 2u);  // third PE not loaded
   EXPECT_EQ(passing[0].il0_index, 0u);
   EXPECT_EQ(passing[0].il1_index, 99u);
@@ -64,7 +71,7 @@ TEST(PeSlot, ThresholdFiltersResults) {
 
   const auto il1 = encode("MKVL");  // self-score 18; G-vs-MKVL ~ 0
   std::vector<ResultRecord> passing;
-  slot.compute_window(il1.data(), 0, passing);
+  stream_window(slot, il1, 0, passing);
   ASSERT_EQ(passing.size(), 1u);
   EXPECT_EQ(passing[0].il0_index, 0u);
   EXPECT_GE(passing[0].score, 15);

@@ -19,6 +19,18 @@ void load(ProcessingElement& pe, const std::vector<std::uint8_t>& window,
   for (const std::uint8_t r : window) pe.load_residue(r, index);
 }
 
+/// Streams one whole IL1 window through the PE, cycle by cycle, and
+/// returns the score it emits on the last cycle.
+int score_window(ProcessingElement& pe, const std::vector<std::uint8_t>& il1) {
+  std::optional<int> result;
+  for (std::size_t k = 0; k < il1.size(); ++k) {
+    EXPECT_FALSE(result.has_value()) << "emitted before the last cycle";
+    result = pe.compute_cycle(il1[k]);
+  }
+  EXPECT_TRUE(result.has_value());
+  return result.value_or(-1);
+}
+
 TEST(ProcessingElement, LoadsInWindowLengthSteps) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   ProcessingElement pe(4, m);
@@ -42,7 +54,6 @@ TEST(ProcessingElement, OverloadThrows) {
 TEST(ProcessingElement, ComputeBeforeLoadThrows) {
   ProcessingElement pe(2, bio::SubstitutionMatrix::blosum62());
   EXPECT_THROW(pe.compute_cycle(0), std::logic_error);
-  EXPECT_THROW(pe.compute_window(nullptr), std::logic_error);
 }
 
 TEST(ProcessingElement, CycleByCycleEqualsScalarKernel) {
@@ -61,7 +72,7 @@ TEST(ProcessingElement, CycleByCycleEqualsScalarKernel) {
   EXPECT_EQ(*result, align::ungapped_window_score(a, b, m));
 }
 
-TEST(ProcessingElement, ComputeWindowEqualsCycleByCycle) {
+TEST(ProcessingElement, WholeWindowOfCyclesEqualsScalarKernel) {
   util::Xoshiro256 rng(12);
   const auto& m = bio::SubstitutionMatrix::blosum62();
   for (int trial = 0; trial < 20; ++trial) {
@@ -70,11 +81,7 @@ TEST(ProcessingElement, ComputeWindowEqualsCycleByCycle) {
     for (auto& r : b) r = static_cast<std::uint8_t>(rng.bounded(20));
     ProcessingElement pe(32, m);
     load(pe, a);
-    const int fast = pe.compute_window(b.data());
-    std::optional<int> slow;
-    for (const auto r : b) slow = pe.compute_cycle(r);
-    ASSERT_TRUE(slow.has_value());
-    EXPECT_EQ(fast, *slow);
+    EXPECT_EQ(score_window(pe, b), align::ungapped_window_score(a, b, m));
   }
 }
 
@@ -85,16 +92,11 @@ TEST(ProcessingElement, ShiftRegisterFeedbackAllowsReuse) {
   const auto stored = encode("MKVLARND");
   ProcessingElement pe(stored.size(), m);
   load(pe, stored);
-  const auto b1 = encode("MKVLARND");
-  const auto b2 = encode("WWWWWWWW");
-  const auto b3 = encode("MKVLWRND");
-  EXPECT_EQ(pe.compute_window(b1.data()),
-            align::ungapped_window_score(stored, b1, m));
-  EXPECT_EQ(pe.compute_window(b2.data()),
-            align::ungapped_window_score(stored, b2, m));
-  std::optional<int> r;
-  for (const auto c : b3) r = pe.compute_cycle(c);
-  EXPECT_EQ(*r, align::ungapped_window_score(stored, b3, m));
+  for (const char* il1 : {"MKVLARND", "WWWWWWWW", "MKVLWRND"}) {
+    const auto b = encode(il1);
+    EXPECT_EQ(score_window(pe, b), align::ungapped_window_score(stored, b, m))
+        << il1;
+  }
 }
 
 TEST(ProcessingElement, ResetAllowsNewWindow) {
@@ -106,7 +108,7 @@ TEST(ProcessingElement, ResetAllowsNewWindow) {
   load(pe, encode("WWWW"), 2);
   EXPECT_EQ(pe.il0_index(), 2u);
   const auto b = encode("WWWW");
-  EXPECT_EQ(pe.compute_window(b.data()),
+  EXPECT_EQ(score_window(pe, b),
             align::ungapped_window_score(encode("WWWW"), b, m));
 }
 
@@ -121,7 +123,7 @@ TEST(ProcessingElement, ScoreIsClampedNonNegative) {
   const auto b = encode("WWWW");
   ProcessingElement pe(4, m);
   load(pe, a);
-  EXPECT_EQ(pe.compute_window(b.data()), 0);
+  EXPECT_EQ(score_window(pe, b), 0);
 }
 
 }  // namespace
