@@ -216,9 +216,12 @@ BENCHMARK(BM_OperatorEngine<true>)->Name("BM_OperatorCycleExact");
 // ---- step-2 kernel shoot-out --------------------------------------------
 // Direct calibrated timing of the three host kernels on the same
 // many-vs-one workload the step-2 engines run per seed key: one IL0
-// window scored against a batch of IL1 windows. The SIMD rows include
-// the per-IL0 score-profile build, matching the integrated cost; the
-// striped transpose is per-key and amortized, so it stays outside.
+// window scored against a batch of IL1 windows. The SIMD rows read the
+// matrix through the engine's once-built SubstitutionRows, so nothing is
+// built per IL0 window; the striped transpose is per key and timed
+// separately, with window extraction, as the staging case. The crossover
+// sweep times whole keys (staging + every IL0 window) to check the
+// blocked/SIMD cutover align::kSimdMinBatch.
 
 struct KernelTiming {
   const char* name;
@@ -261,7 +264,7 @@ void run_step2_kernel_shootout() {
   index::StripedWindows striped;
   striped.assign(batch);
   std::vector<int> scores;
-  align::ScoreProfile profile;
+  const align::SubstitutionRows rows(m);
 
   KernelTiming timings[] = {
       {"scalar"}, {"blocked"}, {"simd-portable"}, {"simd"}};
@@ -274,16 +277,72 @@ void run_step2_kernel_shootout() {
     benchmark::DoNotOptimize(scores.data());
   });
   timings[2].cells_per_sec = calibrated_cells_per_sec(cells, [&] {
-    profile.build(one.window(0), m);
-    align::ungapped_score_profile_vs_striped_portable(profile, striped,
-                                                      scores);
+    align::ungapped_score_rows_vs_striped_portable(one.window(0), rows,
+                                                   striped, scores);
     benchmark::DoNotOptimize(scores.data());
   });
   timings[3].cells_per_sec = calibrated_cells_per_sec(cells, [&] {
-    profile.build(one.window(0), m);
-    align::ungapped_score_profile_vs_striped(profile, striped, scores);
+    align::ungapped_score_rows_vs_striped(one.window(0), rows, striped,
+                                          scores);
     benchmark::DoNotOptimize(scores.data());
   });
+
+  // Staging: what the engines do once per key and list before any kernel
+  // runs -- extract a 100-occurrence list and stripe it. Rated in staged
+  // residues per second.
+  constexpr std::size_t kStagedWindows = 100;
+  std::vector<index::Occurrence> list;
+  for (std::uint32_t i = 0; i < kStagedWindows; ++i) {
+    list.push_back(index::Occurrence{0, 61 * i});
+  }
+  index::WindowBatch staged(length);
+  index::StripedWindows staged_striped;
+  const double staging_per_sec =
+      calibrated_cells_per_sec(kStagedWindows * length, [&] {
+        index::extract_windows(bank, list, shape, staged);
+        staged_striped.assign(staged);
+        benchmark::DoNotOptimize(staged_striped.position(0));
+      });
+
+  // Crossover: seconds per key of |IL0| IL0 windows against IL1 lists of
+  // growing size, blocked vs striped SIMD (the SIMD side pays the
+  // transpose, so |IL0| = 1 is its worst case). The cutover belongs at
+  // the first size where SIMD wins for every |IL0|.
+  const std::size_t crossover_il0[] = {1, 8};
+  const std::size_t crossover_il1[] = {4, 8, 12, 16, 24, 32, 48, 64};
+  struct Crossover {
+    std::size_t il0 = 0;
+    std::size_t il1 = 0;
+    double blocked_s = 0.0;
+    double simd_s = 0.0;
+  };
+  std::vector<Crossover> crossover;
+  for (const std::size_t il0 : crossover_il0) {
+    for (const std::size_t il1 : crossover_il1) {
+      index::WindowBatch part(length);
+      part.assign(batch, 0, il1);
+      const std::size_t key_cells = il0 * il1 * length;
+      Crossover row{il0, il1};
+      row.blocked_s = static_cast<double>(key_cells) /
+                      calibrated_cells_per_sec(key_cells, [&] {
+                        for (std::size_t i = 0; i < il0; ++i) {
+                          align::ungapped_score_one_vs_many_blocked(
+                              batch.window(i), part, m, scores);
+                          benchmark::DoNotOptimize(scores.data());
+                        }
+                      });
+      row.simd_s = static_cast<double>(key_cells) /
+                   calibrated_cells_per_sec(key_cells, [&] {
+                     striped.assign(part);
+                     for (std::size_t i = 0; i < il0; ++i) {
+                       align::ungapped_score_rows_vs_striped(
+                           batch.window(i), rows, striped, scores);
+                       benchmark::DoNotOptimize(scores.data());
+                     }
+                   });
+      crossover.push_back(row);
+    }
+  }
 
   const double scalar_rate = timings[0].cells_per_sec;
   const char* tier = align::simd_tier_name(align::best_simd_tier());
@@ -300,6 +359,22 @@ void run_step2_kernel_shootout() {
          << "\", \"cells_per_sec\": " << timings[i].cells_per_sec
          << ", \"speedup_vs_scalar\": " << speedup << "}"
          << (i + 1 < 4 ? "," : "") << "\n";
+  }
+  json << "  ],\n  \"staging\": {\"windows\": " << kStagedWindows
+       << ", \"residues_per_sec\": " << staging_per_sec << "},\n";
+  std::fprintf(stderr, "  staging        %8.1f Mresidues/s (%zu windows)\n",
+               staging_per_sec / 1e6, kStagedWindows);
+  json << "  \"simd_min_batch\": " << align::kSimdMinBatch
+       << ",\n  \"crossover\": [\n";
+  for (std::size_t i = 0; i < crossover.size(); ++i) {
+    const Crossover& row = crossover[i];
+    std::fprintf(stderr,
+                 "  key |IL0|=%zu |IL1|=%-3zu blocked %7.2f us simd %7.2f us\n",
+                 row.il0, row.il1, row.blocked_s * 1e6, row.simd_s * 1e6);
+    json << "    {\"il0\": " << row.il0 << ", \"il1\": " << row.il1
+         << ", \"blocked_s\": " << row.blocked_s
+         << ", \"simd_s\": " << row.simd_s << "}"
+         << (i + 1 < crossover.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::fprintf(stderr, "wrote BENCH_step2_kernels.json\n");

@@ -3,7 +3,8 @@
 # integration check (psc_serve/psc_client round-trip), then rebuild the
 # align kernels plus the store/service/net layers under ASan/UBSan
 # (PSC_ENABLE_SANITIZERS) and rerun their tests, so the SIMD kernel's
-# lane loads/stores, the mmap-backed index views (including the
+# lane loads/stores, the step-2 window staging copies, the mmap-backed
+# index views (including the
 # corrupted-file rejection paths), and the wire-frame parsers (including
 # the malformed-frame rejection paths) are memory-checked.
 #
@@ -38,16 +39,16 @@ scripts/tenant_check.sh build
 echo "== tier 1: live-ingest check (append+refresh vs full rebuild) =="
 scripts/ingest_check.sh build
 
-echo "== sanitizers: align/core/rasc/store/service/net/cluster tests under ASan/UBSan =="
+echo "== sanitizers: align/index/core/rasc/store/service/net/cluster tests under ASan/UBSan =="
 cmake -B build-asan -S . \
   -DPSC_ENABLE_SANITIZERS=ON \
   -DPSC_BUILD_BENCH=OFF \
   -DPSC_BUILD_EXAMPLES=OFF >/dev/null
-cmake --build build-asan -j "$jobs" --target align_test core_test \
-  rasc_test store_test service_test net_test cluster_test
+cmake --build build-asan -j "$jobs" --target align_test index_test \
+  core_test rasc_test store_test service_test net_test cluster_test
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-asan --output-on-failure \
-  -R '^(align|core|rasc|store|service|net|cluster)_test$'
+  -R '^(align|index|core|rasc|store|service|net|cluster)_test$'
 
 echo "== sanitizers: board cache + scheduler focused run under ASan =="
 # The board cache is shared mutable state across worker passes and the
@@ -57,6 +58,16 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/rasc_test --gtest_filter='BoardCache.*'
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/service_test --gtest_filter='BoardScheduler.*'
+
+echo "== sanitizers: step-2 window staging focused run under ASan =="
+# The memcpy window copy and the blocked striped transpose resolve their
+# bounds once per window/block; keep every edge case memory-checked even
+# if the suite regexes above are reshuffled.
+ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/index_test --gtest_filter='WindowBatch.*:ExtractWindows.*'
+ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/align_test \
+  --gtest_filter='UngappedSimd.*:SubstitutionRows.*:StripedWindows.*'
 
 echo "== sanitizers: step-3 kernel equality focused run under ASan =="
 # Redundant with the suite runs above on purpose: the bit-identity

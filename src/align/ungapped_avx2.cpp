@@ -18,12 +18,12 @@ bool ungapped_avx2_available() noexcept {
   return features.avx2 && features.ssse3 && features.sse41;
 }
 
-__attribute__((target("avx2"))) void ungapped_score_profile_vs_striped_avx2(
-    const ScoreProfile& profile, const index::StripedWindows& windows,
-    std::vector<int>& scores) {
-  if (profile.length() != windows.window_length()) {
+__attribute__((target("avx2"))) void ungapped_score_rows_vs_striped_avx2(
+    std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
+    const index::StripedWindows& windows, std::vector<int>& scores) {
+  if (window0.size() != windows.window_length()) {
     throw std::invalid_argument(
-        "ungapped_score_profile_vs_striped_avx2: length mismatch");
+        "ungapped_score_rows_vs_striped_avx2: length mismatch");
   }
   const std::size_t count = windows.size();
   scores.resize(count);
@@ -31,7 +31,7 @@ __attribute__((target("avx2"))) void ungapped_score_profile_vs_striped_avx2(
 
   constexpr std::size_t kLanes = index::StripedWindows::kLaneWidth;
   static_assert(kLanes == 16, "AVX2 tier carries 16 x 16-bit lanes");
-  const std::size_t len = profile.length();
+  const std::size_t len = window0.size();
   const std::size_t stride = windows.padded_size();
   const __m128i fifteen = _mm_set1_epi8(15);
   const __m256i zero = _mm256_setzero_si256();
@@ -43,12 +43,12 @@ __attribute__((target("avx2"))) void ungapped_score_profile_vs_striped_avx2(
       // 16 residues, one per lane/window, contiguous by construction.
       const __m128i resid = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(windows.position(k) + g));
-      // 32-entry int8 profile row lookup without a memory gather: shuffle
-      // both 16-byte halves by the low index bits, select by residue >= 16
-      // (pshufb reads only bits 0-3 and 7 of each index, and encoded
-      // residues are < 32, so r & 15 addresses the right cell of the
-      // selected half).
-      const std::int8_t* row = profile.row(k);
+      // 32-entry int8 substitution-row lookup without a memory gather:
+      // shuffle both 16-byte halves by the low index bits, select by
+      // residue >= 16 (pshufb reads only bits 0-3 and 7 of each index, and
+      // encoded residues are < 32, so r & 15 addresses the right cell of
+      // the selected half).
+      const std::int8_t* row = rows.row(window0[k]);
       const __m128i row_lo =
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
       const __m128i row_hi =

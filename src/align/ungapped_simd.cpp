@@ -26,7 +26,7 @@ std::optional<UngappedKernel> parse_ungapped_kernel(
 
 bool simd_kernel_applicable(const bio::SubstitutionMatrix& matrix,
                             std::size_t window_length) noexcept {
-  if (!ScoreProfile::representable(matrix)) return false;
+  if (!SubstitutionRows::representable(matrix)) return false;
   // The running score is clamped at zero, so the only overflow risk is the
   // all-positive upper bound length * max_score hitting int16 saturation.
   const std::int64_t max_gain = std::max<std::int64_t>(0, matrix.max_score());
@@ -49,28 +49,19 @@ UngappedKernel resolve_ungapped_kernel(UngappedKernel requested,
   return UngappedKernel::kBlocked;
 }
 
-namespace {
-
-void check_lengths(const ScoreProfile& profile,
-                   const index::StripedWindows& windows) {
-  if (profile.length() != windows.window_length()) {
+void ungapped_score_rows_vs_striped_portable(
+    std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
+    const index::StripedWindows& windows, std::vector<int>& scores) {
+  if (window0.size() != windows.window_length()) {
     throw std::invalid_argument(
-        "ungapped_score_profile_vs_striped: length mismatch");
+        "ungapped_score_rows_vs_striped: length mismatch");
   }
-}
-
-}  // namespace
-
-void ungapped_score_profile_vs_striped_portable(
-    const ScoreProfile& profile, const index::StripedWindows& windows,
-    std::vector<int>& scores) {
-  check_lengths(profile, windows);
   const std::size_t count = windows.size();
   scores.resize(count);
   if (count == 0) return;
 
   constexpr std::size_t kLanes = index::StripedWindows::kLaneWidth;
-  const std::size_t len = profile.length();
+  const std::size_t len = window0.size();
   const std::size_t stride = windows.padded_size();
 
   for (std::size_t g = 0; g < stride; g += kLanes) {
@@ -79,7 +70,7 @@ void ungapped_score_profile_vs_striped_portable(
     std::int16_t vals[kLanes];
     for (std::size_t k = 0; k < len; ++k) {
       const std::uint8_t* resid = windows.position(k) + g;
-      const std::int8_t* row = profile.row(k);
+      const std::int8_t* row = rows.row(window0[k]);
       for (std::size_t l = 0; l < kLanes; ++l) vals[l] = row[resid[l]];
       // Split arithmetic loop: no loads with data-dependent addresses, so
       // it autovectorizes to SSE2/NEON saturating-free int16 ops (the
@@ -97,25 +88,27 @@ void ungapped_score_profile_vs_striped_portable(
   }
 }
 
-void ungapped_score_profile_vs_striped(const ScoreProfile& profile,
-                                       const index::StripedWindows& windows,
-                                       std::vector<int>& scores) {
+void ungapped_score_rows_vs_striped(std::span<const std::uint8_t> window0,
+                                    const SubstitutionRows& rows,
+                                    const index::StripedWindows& windows,
+                                    std::vector<int>& scores) {
   static const SimdTier tier = best_simd_tier();
   if (tier == SimdTier::kAvx2) {
-    ungapped_score_profile_vs_striped_avx2(profile, windows, scores);
+    ungapped_score_rows_vs_striped_avx2(window0, rows, windows, scores);
     return;
   }
-  ungapped_score_profile_vs_striped_portable(profile, windows, scores);
+  ungapped_score_rows_vs_striped_portable(window0, rows, windows, scores);
 }
 
 #if !(defined(__x86_64__) || defined(__i386__)) || !defined(__GNUC__)
 
 bool ungapped_avx2_available() noexcept { return false; }
 
-void ungapped_score_profile_vs_striped_avx2(
-    const ScoreProfile& profile, const index::StripedWindows& windows,
-    std::vector<int>& scores) {
-  ungapped_score_profile_vs_striped_portable(profile, windows, scores);
+void ungapped_score_rows_vs_striped_avx2(std::span<const std::uint8_t> window0,
+                                         const SubstitutionRows& rows,
+                                         const index::StripedWindows& windows,
+                                         std::vector<int>& scores) {
+  ungapped_score_rows_vs_striped_portable(window0, rows, windows, scores);
 }
 
 #endif

@@ -1,5 +1,6 @@
-// SIMD many-vs-one ungapped kernel: one IL0 window, pre-expanded into a
-// query score profile, against 16 IL1 windows per vector iteration.
+// SIMD many-vs-one ungapped kernel: one IL0 window, read through the
+// residue-indexed substitution rows (align/substitution_rows.hpp), against
+// 16 IL1 windows per vector iteration.
 //
 // The recurrence is the PE datapath's max-prefix-sum
 //
@@ -9,7 +10,7 @@
 // carried in 16-bit saturating lanes. One vector lane plays the role of
 // one processing element: where the RASC operator feeds the same IL1
 // window to many PEs holding different IL0 windows, the software kernel
-// transposes the duty -- one IL0 profile scored against many IL1 windows
+// transposes the duty -- one IL0 window scored against many IL1 windows
 // striped across lanes (see index::StripedWindows). Saturation at +32767
 // is unreachable for any realistic window (W + 2N = 64 residues at
 // BLOSUM62's +11 max tops out at 704), so the SIMD tiers reproduce the
@@ -17,22 +18,23 @@
 // configurations where they could not.
 //
 // Three tiers, selected at runtime (align/cpu_features.hpp):
-//   avx2     -- 256-bit lanes; the profile-row lookup is two in-register
+//   avx2     -- 256-bit lanes; the substitution-row lookup is two in-register
 //               pshufb shuffles + blend (the 32-entry int8 row spans two
 //               128-bit halves), then widen/adds/max.
 //   portable -- plain C++ over fixed 16-lane arrays; the add/clamp/max
-//               loops autovectorize to SSE2/NEON, the per-lane profile
+//               loops autovectorize to SSE2/NEON, the per-lane row
 //               lookup stays scalar.
 //   scalar   -- the reference kernels in align/ungapped.hpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "align/cpu_features.hpp"
-#include "align/score_profile.hpp"
+#include "align/substitution_rows.hpp"
 #include "index/neighborhood.hpp"
 
 namespace psc::align {
@@ -43,7 +45,7 @@ enum class UngappedKernel {
   kAuto,
   kScalar,   ///< ungapped_score_one_vs_many
   kBlocked,  ///< ungapped_score_one_vs_many_blocked (4-way unrolled)
-  kSimd,     ///< profile + striped lanes (this header)
+  kSimd,     ///< substitution rows + striped lanes (this header)
 };
 
 const char* ungapped_kernel_name(UngappedKernel kernel) noexcept;
@@ -53,7 +55,7 @@ std::optional<UngappedKernel> parse_ungapped_kernel(
     std::string_view name) noexcept;
 
 /// True when the SIMD tiers reproduce the scalar kernel bit-for-bit:
-/// profile cells fit int8 and the best window score cannot reach the
+/// substitution cells fit int8 and the best window score cannot reach the
 /// int16 saturation point.
 bool simd_kernel_applicable(const bio::SubstitutionMatrix& matrix,
                             std::size_t window_length) noexcept;
@@ -65,34 +67,41 @@ UngappedKernel resolve_ungapped_kernel(UngappedKernel requested,
                                        const bio::SubstitutionMatrix& matrix,
                                        std::size_t window_length) noexcept;
 
-/// Smallest IL1 batch for which the striped kernel is worth its setup:
-/// the striped transpose and per-IL0 profile build only pay off once the
-/// batch fills a couple of lane groups, and below that the blocked kernel
-/// wins. Since the kernels agree bit-for-bit, a per-batch switch at this
-/// cutover cannot change any score.
+/// Smallest IL1 batch for which the striped kernel is worth its setup.
+/// Nothing is built per IL0 window, so the only SIMD overhead is the
+/// per-key striped transpose, plus lanes wasted on X padding. The
+/// bench/micro_kernels crossover sweep (whole keys of 1 and 8 IL0
+/// windows) has SIMD ahead from 8 IL1 windows, half a lane group, at
+/// either IL0 size; at 4 the two kernels trade places. Since the kernels
+/// agree bit-for-bit, a per-batch switch at this cutover cannot change
+/// any score.
 inline constexpr std::size_t kSimdMinBatch =
-    2 * index::StripedWindows::kLaneWidth;
+    index::StripedWindows::kLaneWidth / 2;
 
-/// Scores `profile` against every window of `windows`; scores[i] receives
-/// the max-prefix-sum score of window i. Dispatches to the best ISA tier
-/// detected at startup. profile.length() must equal
-/// windows.window_length().
-void ungapped_score_profile_vs_striped(const ScoreProfile& profile,
-                                       const index::StripedWindows& windows,
-                                       std::vector<int>& scores);
+/// Scores IL0 window `window0` against every window of `windows`;
+/// scores[i] receives the max-prefix-sum score of window i, reading
+/// position k's substitution row as rows.row(window0[k]). Dispatches to the
+/// best ISA tier detected at startup. window0.size() must equal
+/// windows.window_length(); IL1 residues must be < SubstitutionRows::kStride
+/// (every encoded residue is).
+void ungapped_score_rows_vs_striped(std::span<const std::uint8_t> window0,
+                                    const SubstitutionRows& rows,
+                                    const index::StripedWindows& windows,
+                                    std::vector<int>& scores);
 
 /// Portable tier, callable directly (tests, benches).
-void ungapped_score_profile_vs_striped_portable(
-    const ScoreProfile& profile, const index::StripedWindows& windows,
-    std::vector<int>& scores);
+void ungapped_score_rows_vs_striped_portable(
+    std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
+    const index::StripedWindows& windows, std::vector<int>& scores);
 
 /// True when the AVX2 tier can run on this CPU.
 bool ungapped_avx2_available() noexcept;
 
 /// AVX2 tier; falls back to the portable tier on non-x86 builds. Must not
 /// be called when ungapped_avx2_available() is false on an x86 build.
-void ungapped_score_profile_vs_striped_avx2(
-    const ScoreProfile& profile, const index::StripedWindows& windows,
-    std::vector<int>& scores);
+void ungapped_score_rows_vs_striped_avx2(std::span<const std::uint8_t> window0,
+                                         const SubstitutionRows& rows,
+                                         const index::StripedWindows& windows,
+                                         std::vector<int>& scores);
 
 }  // namespace psc::align

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "align/score_profile.hpp"
-
 namespace psc::blast {
 
 void enumerate_neighborhood(std::span<const std::uint8_t> word,
@@ -19,17 +17,15 @@ void enumerate_neighborhood(std::span<const std::uint8_t> word,
     if (r >= bio::kNumAminoAcids) return;  // masked word: no neighbourhood
   }
 
-  // Pre-expand the word's substitution rows (align/score_profile.hpp):
-  // the DFS below reads score(word[depth], choice) for every candidate
-  // residue, which the profile serves as one contiguous byte row per
-  // position instead of a strided matrix gather. Matrices whose scores
-  // exceed int8 (no BLOSUM/PAM does) fall back to direct matrix lookups.
-  align::ScoreProfile profile;
-  const bool profiled = align::ScoreProfile::representable(matrix);
-  if (profiled) profile.build(word, matrix);
+  // The DFS below reads score(word[depth], choice) for every candidate
+  // residue. The word's residues are standard (checked above) and so are
+  // the choices, so each position reads one contiguous matrix row with no
+  // clamping -- the same row-per-residue addressing as the step-2 kernels'
+  // align::SubstitutionRows, without narrowing scores to int8, so any
+  // matrix works.
+  const auto* cells = matrix.cells().data();
   const auto score_at = [&](std::size_t depth, std::uint8_t c) -> int {
-    return profiled ? profile.row(depth)[c]
-                    : static_cast<int>(matrix.score(word[depth], c));
+    return cells[word[depth] * bio::kProteinAlphabetSize + c];
   };
 
   // suffix_max[i] = best achievable score for positions i..w-1.

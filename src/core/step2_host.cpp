@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
 #include "align/ungapped.hpp"
 #include "index/neighborhood.hpp"
@@ -17,19 +18,25 @@ namespace {
 constexpr std::size_t kStep2PartialReserve = 256;
 
 /// Per-worker kernel state: window batches, the SIMD path's striped image
-/// and score profile, and the score buffer. One instance is owned by each
-/// engine thread and threaded through process_key, so kernel scratch
+/// and substitution rows, and the score buffer. One instance is owned by
+/// each engine thread and threaded through process_key, so kernel scratch
 /// ownership is explicit (no function-local TLS) and the hot loop
 /// performs no allocation once the buffers have grown to steady state.
 struct Step2Scratch {
   index::WindowBatch batch0;
   index::WindowBatch batch1;
   index::StripedWindows striped1;
-  align::ScoreProfile profile;
+  /// The matrix's residue-indexed rows, built once when the resolved
+  /// kernel is kSimd (the only kernel that reads them).
+  std::optional<align::SubstitutionRows> rows;
   std::vector<int> scores;
 
-  explicit Step2Scratch(std::size_t window_length)
-      : batch0(window_length), batch1(window_length) {}
+  Step2Scratch(std::size_t window_length,
+               const bio::SubstitutionMatrix& matrix,
+               align::UngappedKernel kernel)
+      : batch0(window_length), batch1(window_length) {
+    if (kernel == align::UngappedKernel::kSimd) rows.emplace(matrix);
+  }
 };
 
 /// Processes one seed key with the resolved kernel, appending hits.
@@ -64,9 +71,8 @@ std::uint64_t process_key(
   for (std::size_t i0 = 0; i0 < batch0.size(); ++i0) {
     switch (key_kernel) {
       case align::UngappedKernel::kSimd:
-        scratch.profile.build(batch0.window(i0), matrix);
-        align::ungapped_score_profile_vs_striped(scratch.profile,
-                                                 scratch.striped1, scores);
+        align::ungapped_score_rows_vs_striped(batch0.window(i0), *scratch.rows,
+                                              scratch.striped1, scores);
         break;
       case align::UngappedKernel::kScalar:
         align::ungapped_score_one_vs_many(batch0.window(i0), batch1, matrix,
@@ -152,7 +158,7 @@ HostStep2Result run_step2_host(
     int threshold, align::UngappedKernel kernel) {
   HostStep2Result out;
   out.kernel = align::resolve_ungapped_kernel(kernel, matrix, shape.length());
-  Step2Scratch scratch(shape.length());
+  Step2Scratch scratch(shape.length(), matrix, out.kernel);
   out.pairs = process_key_range(bank0, table0, bank1, table1, matrix, shape,
                                 threshold, out.kernel, 0, table0.key_space(),
                                 scratch, out.hits);
@@ -173,7 +179,7 @@ HostStep2Result run_step2_host_keys(
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
   if (workers <= 1) {
-    Step2Scratch scratch(shape.length());
+    Step2Scratch scratch(shape.length(), matrix, out.kernel);
     for (const index::SeedKey key : keys) {
       out.pairs += process_key(bank0, table0, bank1, table1, matrix, shape,
                                threshold, out.kernel, key, scratch, out.hits);
@@ -193,7 +199,7 @@ HostStep2Result run_step2_host_keys(
   std::vector<HostStep2Result> partial(chunks.size());
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     group.run([&, c, kernel_used = out.kernel] {
-      Step2Scratch scratch(shape.length());
+      Step2Scratch scratch(shape.length(), matrix, kernel_used);
       partial[c].hits.reserve(kStep2PartialReserve);
       for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
         partial[c].pairs +=
@@ -238,7 +244,7 @@ HostStep2Result run_step2_host_parallel(
   std::atomic<std::uint64_t> total_pairs{0};
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     group.run([&, c] {
-      Step2Scratch scratch(shape.length());
+      Step2Scratch scratch(shape.length(), matrix, kernel_used);
       partial[c].hits.reserve(kStep2PartialReserve);
       partial[c].pairs = process_key_range(
           bank0, table0, bank1, table1, matrix, shape, threshold, kernel_used,
@@ -285,7 +291,7 @@ struct Step2KeyScorer::Impl {
         shape(s),
         threshold(threshold_in),
         kernel(align::resolve_ungapped_kernel(k, m, s.length())),
-        scratch(s.length()) {}
+        scratch(s.length(), m, kernel) {}
 };
 
 Step2KeyScorer::Step2KeyScorer(

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/executor.hpp"
-#include "util/executor.hpp"
 
 namespace psc::core {
 

@@ -43,6 +43,12 @@ class WindowBatch {
     sources_.clear();
   }
 
+  /// Sizes the storage for `windows` windows in one allocation.
+  void reserve(std::size_t windows) {
+    residues_.reserve(windows * window_length_);
+    sources_.reserve(windows);
+  }
+
   /// Residues of window i.
   std::span<const std::uint8_t> window(std::size_t i) const {
     return {residues_.data() + i * window_length_, window_length_};
@@ -67,7 +73,8 @@ class WindowBatch {
 };
 
 /// Extracts windows for every occurrence in `list` into `out` (cleared
-/// first). `out`'s window length must equal shape.length().
+/// first, then sized once for the whole list). `out`'s window length must
+/// equal shape.length().
 void extract_windows(const bio::SequenceBank& bank,
                      std::span<const Occurrence> list,
                      const WindowShape& shape, WindowBatch& out);

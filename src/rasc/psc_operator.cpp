@@ -25,8 +25,8 @@ namespace {
 
 /// IL1 windows scored per tile by the batch engine: the tile's striped
 /// image (kIl1Tile x window_length bytes) stays cache-resident while every
-/// loaded PE's profile streams past it, and the per-tile scratch does not
-/// grow with the IL1 list.
+/// loaded PE's IL0 window streams past it, and the per-tile scratch does
+/// not grow with the IL1 list.
 constexpr std::size_t kIl1Tile = 256;
 
 }  // namespace
@@ -41,6 +41,7 @@ PscOperator::PscOperator(const PscConfig& config,
       tile_(config.window_length),
       counts_(kIl1Tile + 1) {
   config_.validate();
+  if (kernel_ == align::UngappedKernel::kSimd) rows_.emplace(rom);
   slots_.reserve(config_.num_slots());
   std::size_t remaining = config_.num_pes;
   for (std::size_t s = 0; s < config_.num_slots(); ++s) {
@@ -72,8 +73,8 @@ void PscOperator::score_tile(const index::WindowBatch& il0, std::size_t first,
   std::fill_n(counts_.begin(), width + 1, 0u);
   for (std::size_t i = 0; i < loaded; ++i) {
     if (simd) {
-      align::ungapped_score_profile_vs_striped(profiles_[i], striped_,
-                                               scores_);
+      align::ungapped_score_rows_vs_striped(il0.window(first + i), *rows_,
+                                            striped_, scores_);
     } else {
       align::ungapped_score_one_vs_many_blocked(il0.window(first + i), tile,
                                                 *rom_, scores_);
@@ -114,19 +115,12 @@ void PscOperator::run_key(const index::WindowBatch& il0,
   const std::size_t k1 = il1.size();
   const bool simd =
       kernel_ == align::UngappedKernel::kSimd && k1 >= align::kSimdMinBatch;
-  if (simd && profiles_.size() < std::min(pe_count, k0)) {
-    profiles_.resize(std::min(pe_count, k0));
-  }
 
   for (std::size_t first = 0; first < k0; first += pe_count) {
     const std::size_t loaded = std::min(pe_count, k0 - first);
-    // Load phase: the PEs latch their IL0 windows (here: one score
-    // profile each); the cycle cost is the stream cost.
-    if (simd) {
-      for (std::size_t i = 0; i < loaded; ++i) {
-        profiles_[i].build(il0.window(first + i), *rom_);
-      }
-    }
+    // Load phase: the PEs latch their IL0 windows. The kernels read those
+    // windows in place through the ROM rows, so only the stream cost is
+    // modeled.
     stats_.cycles_load += loaded * length + config_.skew_cycles();
 
     // Compute phase: every IL1 window streams past every loaded PE.

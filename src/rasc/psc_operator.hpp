@@ -16,7 +16,10 @@
 //    kernels in align/ (the striped SIMD kernel, one lane per PE, or the
 //    blocked kernel for short IL1 lists and matrices the SIMD tier cannot
 //    score exactly), which compute the PE datapath's max-prefix-sum
-//    bit-for-bit. IL1 is scored in fixed-size tiles, and records are
+//    bit-for-bit. Like the PEs' substitution ROM, the matrix is laid out
+//    once per operator as residue-indexed rows (align::SubstitutionRows)
+//    and each loaded IL0 window is read in place, so a round's load phase
+//    costs modeled cycles only. IL1 is scored in fixed-size tiles, and records are
 //    emitted in the array's completion order (round, then IL1 window,
 //    then IL0 window) with each IL1 window's hit count fed to the
 //    closed-form timing model below. Benches use this engine; tests
@@ -35,9 +38,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "align/score_profile.hpp"
+#include "align/substitution_rows.hpp"
 #include "align/ungapped_simd.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "index/neighborhood.hpp"
@@ -121,11 +125,12 @@ class PscOperator {
   FifoCascade cascade_;
   OutputController output_;
   OperatorStats stats_;
-  // Batch engine scratch, bounded by num_pes and the IL1 tile size.
+  // Batch engine state: the ROM as residue-indexed rows (built once, when
+  // the SIMD kernel applies) and scratch bounded by the IL1 tile size.
   align::UngappedKernel kernel_;
+  std::optional<align::SubstitutionRows> rows_;
   index::WindowBatch tile_;
   index::StripedWindows striped_;
-  std::vector<align::ScoreProfile> profiles_;
   std::vector<int> scores_;
   std::vector<ResultRecord> pending_;
   std::vector<std::uint32_t> counts_;

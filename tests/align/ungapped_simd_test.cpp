@@ -1,7 +1,8 @@
-// Property tests for the vectorized step-2 kernel layer: the score
-// profile, the striped window transpose, and bit-for-bit equivalence of
-// the scalar, blocked, and SIMD kernels across X-padding, boundary
-// flanks, all-negative and saturation-adjacent configurations.
+// Property tests for the vectorized step-2 kernel layer: the
+// residue-indexed substitution rows, the striped window transpose, and
+// bit-for-bit equivalence of the scalar, blocked, and SIMD kernels across
+// random (and asymmetric) matrices, out-of-alphabet codes, X-padding,
+// boundary flanks, all-negative and saturation-adjacent configurations.
 #include "align/ungapped_simd.hpp"
 
 #include <gtest/gtest.h>
@@ -25,55 +26,76 @@ void expect_all_kernels_agree(const index::WindowBatch& one,
   ungapped_score_one_vs_many(one.window(0), batch, m, scalar);
   ungapped_score_one_vs_many_blocked(one.window(0), batch, m, blocked);
 
-  ScoreProfile profile;
-  profile.build(one.window(0), m);
+  const SubstitutionRows rows(m);
   index::StripedWindows striped;
   striped.assign(batch);
-  ungapped_score_profile_vs_striped_portable(profile, striped, portable);
-  ungapped_score_profile_vs_striped(profile, striped, dispatched);
+  ungapped_score_rows_vs_striped_portable(one.window(0), rows, striped,
+                                          portable);
+  ungapped_score_rows_vs_striped(one.window(0), rows, striped, dispatched);
 
   EXPECT_EQ(scalar, blocked) << label;
   EXPECT_EQ(scalar, portable) << label;
   EXPECT_EQ(scalar, dispatched) << label;
   if (ungapped_avx2_available()) {
     std::vector<int> avx2;
-    ungapped_score_profile_vs_striped_avx2(profile, striped, avx2);
+    ungapped_score_rows_vs_striped_avx2(one.window(0), rows, striped, avx2);
     EXPECT_EQ(scalar, avx2) << label;
   }
 }
 
-TEST(ScoreProfile, RowsMatchMatrixWithXPaddedColumns) {
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  util::Xoshiro256 rng(3);
-  std::vector<std::uint8_t> window(17);
-  for (auto& r : window) {
-    r = static_cast<std::uint8_t>(rng.bounded(bio::kProteinAlphabetSize));
+TEST(SubstitutionRows, RowsMatchMatrixForEveryCode) {
+  // An asymmetric matrix, so a transposed table would fail.
+  bio::SubstitutionMatrix m = bio::SubstitutionMatrix::blosum62();
+  m.set_score(0, 1, 9);
+  m.set_score(1, 0, -7);
+  const SubstitutionRows rows(m);
+  for (std::size_t a = 0; a < SubstitutionRows::kRows; ++a) {
+    const std::int8_t* row = rows.row(static_cast<std::uint8_t>(a));
+    for (std::size_t c = 0; c < SubstitutionRows::kStride; ++c) {
+      EXPECT_EQ(row[c], m.score(static_cast<bio::Residue>(a),
+                                static_cast<bio::Residue>(c)))
+          << "a=" << a << " c=" << c;
+    }
   }
-  ScoreProfile profile;
-  profile.build(window, m);
-  ASSERT_EQ(profile.length(), window.size());
-  for (std::size_t k = 0; k < window.size(); ++k) {
-    const std::int8_t* row = profile.row(k);
-    for (std::size_t c = 0; c < bio::kProteinAlphabetSize; ++c) {
-      EXPECT_EQ(row[c], m.score(window[k], static_cast<bio::Residue>(c)));
+  EXPECT_EQ(rows.row(0)[1], 9);
+  EXPECT_EQ(rows.row(1)[0], -7);
+}
+
+TEST(SubstitutionRows, PaddingClampsToX) {
+  const auto& m = bio::SubstitutionMatrix::blosum62();
+  const SubstitutionRows rows(m);
+  for (std::size_t a = 0; a < bio::kProteinAlphabetSize; ++a) {
+    const std::int8_t* row = rows.row(static_cast<std::uint8_t>(a));
+    for (std::size_t c = bio::kProteinAlphabetSize;
+         c < SubstitutionRows::kStride; ++c) {
+      EXPECT_EQ(row[c], m.score(static_cast<bio::Residue>(a), bio::kUnknownX));
     }
-    for (std::size_t c = bio::kProteinAlphabetSize; c < ScoreProfile::kStride;
-         ++c) {
-      EXPECT_EQ(row[c], m.score(window[k], bio::kUnknownX));
-    }
+  }
+  // Every code past the alphabet reads exactly the X row.
+  const std::int8_t* x_row = rows.row(bio::kUnknownX);
+  for (std::size_t a = bio::kProteinAlphabetSize; a < SubstitutionRows::kRows;
+       ++a) {
+    EXPECT_TRUE(std::equal(x_row, x_row + SubstitutionRows::kStride,
+                           rows.row(static_cast<std::uint8_t>(a))))
+        << "a=" << a;
   }
 }
 
-TEST(ScoreProfile, RepresentabilityBounds) {
-  EXPECT_TRUE(ScoreProfile::representable(bio::SubstitutionMatrix::blosum62()));
+TEST(SubstitutionRows, RepresentabilityBounds) {
   EXPECT_TRUE(
-      ScoreProfile::representable(bio::SubstitutionMatrix::identity(127, -128)));
+      SubstitutionRows::representable(bio::SubstitutionMatrix::blosum62()));
+  const auto extremes = bio::SubstitutionMatrix::identity(127, -128);
+  EXPECT_TRUE(SubstitutionRows::representable(extremes));
+  const SubstitutionRows rows(extremes);
+  EXPECT_EQ(rows.row(3)[3], 127);
+  EXPECT_EQ(rows.row(3)[4], -128);
   bio::SubstitutionMatrix wide = bio::SubstitutionMatrix::identity(1, -1);
   wide.set_score(0, 0, 200);
-  EXPECT_FALSE(ScoreProfile::representable(wide));
-  ScoreProfile profile;
-  const std::vector<std::uint8_t> window(4, 0);
-  EXPECT_THROW(profile.build(window, wide), std::invalid_argument);
+  EXPECT_FALSE(SubstitutionRows::representable(wide));
+  EXPECT_THROW(SubstitutionRows{wide}, std::invalid_argument);
+  wide.set_score(0, 0, 1);
+  wide.set_score(2, 5, -129);
+  EXPECT_FALSE(SubstitutionRows::representable(wide));
 }
 
 TEST(StripedWindows, TransposesAndPadsWithX) {
@@ -102,15 +124,47 @@ TEST(StripedWindows, TransposesAndPadsWithX) {
   }
 }
 
+TEST(StripedWindows, WholeBlocksAndTailsTransposeExactly) {
+  // Counts around the 16-lane groups and lengths around the 16-position
+  // blocks: whole 16 x 16 blocks, tail positions and X-padded tail lanes.
+  util::Xoshiro256 rng(17);
+  for (const std::size_t length : {1, 7, 16, 40, 64}) {
+    for (const std::size_t count : {1, 15, 16, 17, 33, 48}) {
+      bio::SequenceBank bank(bio::SequenceKind::kProtein);
+      index::WindowBatch batch(length);
+      for (std::size_t i = 0; i < count; ++i) {
+        std::vector<std::uint8_t> residues(length);
+        for (auto& r : residues) r = static_cast<std::uint8_t>(rng.bounded(32));
+        bank.add(bio::Sequence("s", bio::SequenceKind::kProtein, residues));
+        batch.append(bank, index::Occurrence{static_cast<std::uint32_t>(i), 0},
+                     index::WindowShape{length, 0});
+      }
+      index::StripedWindows striped;
+      striped.assign(batch);
+      ASSERT_EQ(striped.padded_size(), (count + 15) / 16 * 16);
+      for (std::size_t k = 0; k < length; ++k) {
+        const std::uint8_t* position = striped.position(k);
+        for (std::size_t i = 0; i < striped.padded_size(); ++i) {
+          const std::uint8_t expected =
+              i < count ? batch.window(i)[k] : bio::kUnknownX;
+          ASSERT_EQ(position[i], expected)
+              << "len=" << length << " n=" << count << " k=" << k
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(UngappedSimd, EmptyBatchYieldsNoScores) {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   index::WindowBatch batch(8);
   index::StripedWindows striped;
   striped.assign(batch);
-  ScoreProfile profile;
-  profile.build(std::vector<std::uint8_t>(8, 0), m);
+  const SubstitutionRows rows(m);
+  const std::vector<std::uint8_t> window0(8, 0);
   std::vector<int> scores{1, 2, 3};
-  ungapped_score_profile_vs_striped(profile, striped, scores);
+  ungapped_score_rows_vs_striped(window0, rows, striped, scores);
   EXPECT_TRUE(scores.empty());
 }
 
@@ -119,10 +173,13 @@ TEST(UngappedSimd, LengthMismatchThrows) {
   index::WindowBatch batch(8);
   index::StripedWindows striped;
   striped.assign(batch);
-  ScoreProfile profile;
-  profile.build(std::vector<std::uint8_t>(10, 0), m);
+  const SubstitutionRows rows(m);
+  const std::vector<std::uint8_t> window0(10, 0);
   std::vector<int> scores;
-  EXPECT_THROW(ungapped_score_profile_vs_striped(profile, striped, scores),
+  EXPECT_THROW(ungapped_score_rows_vs_striped(window0, rows, striped, scores),
+               std::invalid_argument);
+  EXPECT_THROW(ungapped_score_rows_vs_striped_portable(window0, rows, striped,
+                                                       scores),
                std::invalid_argument);
 }
 
@@ -170,12 +227,11 @@ TEST(UngappedSimd, AllNegativeWindowsScoreZero) {
   }
   expect_all_kernels_agree(one, batch, m, "all negative");
 
-  ScoreProfile profile;
-  profile.build(one.window(0), m);
+  const SubstitutionRows rows(m);
   index::StripedWindows striped;
   striped.assign(batch);
   std::vector<int> scores;
-  ungapped_score_profile_vs_striped(profile, striped, scores);
+  ungapped_score_rows_vs_striped(one.window(0), rows, striped, scores);
   for (const int s : scores) EXPECT_EQ(s, 0);
 }
 
@@ -198,16 +254,83 @@ TEST(UngappedSimd, SaturationAdjacentScoresStayExact) {
   }
   expect_all_kernels_agree(one, batch, m, "saturation adjacent");
 
-  ScoreProfile profile;
-  profile.build(one.window(0), m);
+  const SubstitutionRows rows(m);
   index::StripedWindows striped;
   striped.assign(batch);
   std::vector<int> scores;
-  ungapped_score_profile_vs_striped(profile, striped, scores);
+  ungapped_score_rows_vs_striped(one.window(0), rows, striped, scores);
   EXPECT_EQ(scores[0], 100 * static_cast<int>(len));
 }
 
-TEST(UngappedSimd, ApplicabilityGuardsSaturationAndProfileRange) {
+/// A matrix with every cell drawn uniformly from the full int8 range; not
+/// symmetric, so a kernel that reads the table transposed fails.
+bio::SubstitutionMatrix random_int8_matrix(util::Xoshiro256& rng) {
+  bio::SubstitutionMatrix m;
+  for (std::size_t a = 0; a < bio::kProteinAlphabetSize; ++a) {
+    for (std::size_t b = 0; b < bio::kProteinAlphabetSize; ++b) {
+      m.set_score(static_cast<bio::Residue>(a), static_cast<bio::Residue>(b),
+                  static_cast<bio::SubstitutionMatrix::Score>(
+                      static_cast<int>(rng.bounded(256)) - 128));
+    }
+  }
+  return m;
+}
+
+TEST(UngappedSimd, RowsKernelsEqualScalarOnRandomMatrices) {
+  // IL0 windows draw any 8-bit code (codes >= 24 must read the X row);
+  // IL1 windows draw every code a striped lane can carry (< 32), so the
+  // padding columns are read too. List sizes straddle the 16-lane groups.
+  util::Xoshiro256 rng(97);
+  bio::SubstitutionMatrix asymmetric = bio::SubstitutionMatrix::blosum62();
+  asymmetric.set_score(bio::encode_protein('W'), bio::encode_protein('A'), 40);
+  asymmetric.set_score(bio::encode_protein('A'), bio::encode_protein('W'), -40);
+  std::vector<bio::SubstitutionMatrix> matrices = {asymmetric};
+  for (int i = 0; i < 3; ++i) matrices.push_back(random_int8_matrix(rng));
+
+  for (const auto& m : matrices) {
+    for (const std::size_t length : {std::size_t{1}, std::size_t{7},
+                                     std::size_t{64}}) {
+      ASSERT_TRUE(simd_kernel_applicable(m, length));
+      for (const std::size_t count : {1, 15, 16, 17, 33}) {
+        bio::SequenceBank bank(bio::SequenceKind::kProtein);
+        index::WindowBatch batch(length);
+        const index::WindowShape shape{length, 0};
+        for (std::size_t i = 0; i < count; ++i) {
+          std::vector<std::uint8_t> residues(length);
+          for (auto& r : residues) {
+            r = static_cast<std::uint8_t>(
+                rng.bounded(SubstitutionRows::kStride));
+          }
+          bank.add(bio::Sequence("s", bio::SequenceKind::kProtein, residues));
+          batch.append(bank,
+                       index::Occurrence{static_cast<std::uint32_t>(i), 0},
+                       shape);
+        }
+        std::vector<std::uint8_t> window0(length);
+        for (auto& r : window0) r = static_cast<std::uint8_t>(rng.bounded(256));
+        window0[0] = 255;  // always one out-of-alphabet code
+
+        std::vector<int> scalar, portable, dispatched;
+        ungapped_score_one_vs_many(window0, batch, m, scalar);
+        const SubstitutionRows rows(m);
+        index::StripedWindows striped;
+        striped.assign(batch);
+        ungapped_score_rows_vs_striped_portable(window0, rows, striped,
+                                                portable);
+        ungapped_score_rows_vs_striped(window0, rows, striped, dispatched);
+        EXPECT_EQ(scalar, portable) << "len=" << length << " n=" << count;
+        EXPECT_EQ(scalar, dispatched) << "len=" << length << " n=" << count;
+        if (ungapped_avx2_available()) {
+          std::vector<int> avx2;
+          ungapped_score_rows_vs_striped_avx2(window0, rows, striped, avx2);
+          EXPECT_EQ(scalar, avx2) << "len=" << length << " n=" << count;
+        }
+      }
+    }
+  }
+}
+
+TEST(UngappedSimd, ApplicabilityGuardsSaturationAndRowRange) {
   const auto& blosum = bio::SubstitutionMatrix::blosum62();
   EXPECT_TRUE(simd_kernel_applicable(blosum, 64));
   // 64-residue windows under BLOSUM62 peak at 704 << 32767.
