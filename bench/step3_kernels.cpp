@@ -2,7 +2,14 @@
 // portable and AVX2 16-bit tiers, on the two shapes the pipeline runs --
 // the banded window screen (fixed geometry, deterministic cell count;
 // this is the throughput gate) and the X-drop half extension (content-
-// dependent pruning, reported as halves/sec). A final end-to-end section
+// dependent pruning, reported as halves/sec). The X-drop kernel is timed
+// twice: on homologous pairs, whose rows grow many blocks wide, and on
+// unrelated pairs, whose halves die after tens of rows a couple of
+// blocks wide -- the regime of the ~99.8% of pipeline extensions that
+// are rejected, where per-block and per-row latency dominates. The
+// short-half section also times whole GappedExtender::extend calls
+// (both halves of an anchor), where the AVX2 tier steps its two halves
+// in lockstep. A final end-to-end section
 // runs the whole pipeline per --step3-kernel selection and byte-compares
 // the encoded match sections against the scalar run, so the JSON records
 // the bit-identity claim next to the speedups.
@@ -13,6 +20,8 @@
 // skipped, since the tier under test cannot run.
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +43,9 @@ using namespace psc;
 constexpr std::size_t kWindowLength = 256;
 constexpr std::size_t kBand = 31;
 constexpr std::size_t kPairs = 64;
+constexpr std::size_t kShortLength = 600;  // anchored mid-sequence
+constexpr std::size_t kShortPairs = 256;
+constexpr std::size_t kSeedWidth = 4;
 constexpr double kRequiredSpeedup = 4.0;
 
 struct KernelRow {
@@ -42,6 +54,10 @@ struct KernelRow {
   double banded_speedup = 1.0;
   double xdrop_halves_per_sec = 0.0;
   double xdrop_speedup = 1.0;
+  double short_halves_per_sec = 0.0;
+  double short_speedup = 1.0;
+  double extends_per_sec = 0.0;
+  double extend_speedup = 1.0;
   double pipeline_seconds = 0.0;
   bool pipeline_identical = true;
 };
@@ -100,6 +116,23 @@ PairSet make_pairs(std::size_t count, std::size_t length, std::uint64_t seed) {
     auto r0 = residues(base);
     auto r1 = residues(twin);
     r1.resize(length, r1.empty() ? std::uint8_t{0} : r1.back());
+    pairs.s0.push_back(std::move(r0));
+    pairs.s1.push_back(std::move(r1));
+  }
+  return pairs;
+}
+
+/// Unrelated pairs of uniform random residues: X-drop kills their
+/// halves after tens of rows (about 90 under BLOSUM62 11/1/38), each row
+/// a couple of 16-lane blocks wide.
+PairSet make_unrelated_pairs(std::size_t count, std::size_t length,
+                             std::uint64_t seed) {
+  PairSet pairs;
+  util::Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint8_t> r0(length), r1(length);
+    for (auto& r : r0) r = static_cast<std::uint8_t>(rng.bounded(20));
+    for (auto& r : r1) r = static_cast<std::uint8_t>(rng.bounded(20));
     pairs.s0.push_back(std::move(r0));
     pairs.s1.push_back(std::move(r1));
   }
@@ -252,6 +285,74 @@ int main() {
     }
   }
 
+  // ---- X-drop in the pipeline's regime: short halves, whole extends ------
+  // Each unrelated pair is anchored mid-sequence: the backward half runs
+  // on the reversed prefixes, the forward half on the suffixes past the
+  // seed, exactly as extend() splits them.
+  const PairSet unrelated = make_unrelated_pairs(kShortPairs, kShortLength, 23);
+  const std::size_t anchor = kShortLength / 2;
+  PairSet halves;
+  for (std::size_t i = 0; i < kShortPairs; ++i) {
+    halves.s0.emplace_back(unrelated.s0[i].rend() - anchor,
+                           unrelated.s0[i].rend());
+    halves.s1.emplace_back(unrelated.s1[i].rend() - anchor,
+                           unrelated.s1[i].rend());
+    halves.s0.emplace_back(unrelated.s0[i].begin() + anchor + kSeedWidth,
+                           unrelated.s0[i].end());
+    halves.s1.emplace_back(unrelated.s1[i].begin() + anchor + kSeedWidth,
+                           unrelated.s1[i].end());
+  }
+  const std::size_t short_halves = halves.s0.size();
+  using HalfTier = std::optional<align::HalfExtension> (*)(
+      std::span<const std::uint8_t>, std::span<const std::uint8_t>,
+      const align::GappedSimdMatrix&, const align::GapParams&);
+  const HalfTier half_tiers[] = {nullptr, align::xdrop_gapped_half_portable,
+                                 align::xdrop_gapped_half_avx2};
+  const align::GappedKernel extend_tiers[] = {align::GappedKernel::kScalar,
+                                              align::GappedKernel::kPortable,
+                                              align::GappedKernel::kAvx2};
+  std::uint64_t half_check[3] = {}, extend_check[3] = {};
+  for (std::size_t k = 0; k < 3; ++k) {
+    if (k == 2 && !has_avx2) break;
+    kernels[k].short_halves_per_sec = calibrated_rate(short_halves, [&] {
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < short_halves; ++i) {
+        std::optional<align::HalfExtension> half;
+        if (half_tiers[k] != nullptr) {
+          half = half_tiers[k](halves.s0[i], halves.s1[i], rows, params);
+        }
+        if (!half) {
+          half = align::xdrop_gapped_half(halves.s0[i], halves.s1[i], matrix,
+                                          params);
+        }
+        sum += static_cast<std::uint64_t>(half->score) + half->end0 +
+               half->end1;
+      }
+      half_check[k] = sum;
+    });
+    if (half_check[k] != half_check[0]) {
+      std::fprintf(stderr, "step3_kernels: %s short-half checksum mismatch\n",
+                   kernels[k].name);
+      return 1;
+    }
+    const align::GappedExtender extender(matrix, params, extend_tiers[k]);
+    kernels[k].extends_per_sec = calibrated_rate(kShortPairs, [&] {
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < kShortPairs; ++i) {
+        const align::Alignment al =
+            extender.extend(unrelated.s0[i], unrelated.s1[i], anchor, anchor,
+                            kSeedWidth, /*with_traceback=*/false);
+        sum += static_cast<std::uint64_t>(al.score) + al.begin0 + al.end1;
+      }
+      extend_check[k] = sum;
+    });
+    if (extend_check[k] != extend_check[0]) {
+      std::fprintf(stderr, "step3_kernels: %s extend checksum mismatch\n",
+                   kernels[k].name);
+      return 1;
+    }
+  }
+
   // ---- end-to-end pipeline deltas ---------------------------------------
   const PipelineWorkload workload;
   std::vector<std::uint8_t> reference_bytes;
@@ -293,6 +394,9 @@ int main() {
         row.banded_cells_per_sec / kernels[0].banded_cells_per_sec;
     row.xdrop_speedup =
         row.xdrop_halves_per_sec / kernels[0].xdrop_halves_per_sec;
+    row.short_speedup =
+        row.short_halves_per_sec / kernels[0].short_halves_per_sec;
+    row.extend_speedup = row.extends_per_sec / kernels[0].extends_per_sec;
     identical = identical && row.pipeline_identical;
   }
   const std::size_t shown = has_avx2 ? 3 : 2;
@@ -300,9 +404,12 @@ int main() {
     const KernelRow& row = kernels[k];
     std::fprintf(stderr,
                  "%-9s banded %8.1f Mcells/s (%.2fx)   xdrop %8.1f halves/s "
-                 "(%.2fx)\n",
+                 "(%.2fx)   short %9.1f halves/s (%.2fx)   extend %9.1f "
+                 "calls/s (%.2fx)\n",
                  row.name, row.banded_cells_per_sec / 1e6, row.banded_speedup,
-                 row.xdrop_halves_per_sec, row.xdrop_speedup);
+                 row.xdrop_halves_per_sec, row.xdrop_speedup,
+                 row.short_halves_per_sec, row.short_speedup,
+                 row.extends_per_sec, row.extend_speedup);
   }
 
   const double avx2_speedup = kernels[2].banded_speedup;
@@ -313,6 +420,8 @@ int main() {
        << "  \"window_length\": " << kWindowLength << ",\n"
        << "  \"band\": " << kBand << ",\n"
        << "  \"pairs\": " << kPairs << ",\n"
+       << "  \"short_pairs\": " << kShortPairs << ",\n"
+       << "  \"short_length\": " << kShortLength << ",\n"
        << "  \"avx2_available\": " << (has_avx2 ? "true" : "false") << ",\n"
        << "  \"kernels\": [\n";
   for (std::size_t k = 0; k < shown; ++k) {
@@ -322,6 +431,10 @@ int main() {
          << "\"banded_speedup_vs_scalar\": " << row.banded_speedup << ", "
          << "\"xdrop_halves_per_sec\": " << row.xdrop_halves_per_sec << ", "
          << "\"xdrop_speedup_vs_scalar\": " << row.xdrop_speedup << ", "
+         << "\"short_halves_per_sec\": " << row.short_halves_per_sec << ", "
+         << "\"short_speedup_vs_scalar\": " << row.short_speedup << ", "
+         << "\"extends_per_sec\": " << row.extends_per_sec << ", "
+         << "\"extend_speedup_vs_scalar\": " << row.extend_speedup << ", "
          << "\"pipeline_seconds\": " << row.pipeline_seconds << ", "
          << "\"pipeline_identical\": "
          << (row.pipeline_identical ? "true" : "false") << "}"

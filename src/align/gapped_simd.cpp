@@ -304,10 +304,23 @@ Alignment GappedExtender::extend(std::span<const std::uint8_t> s0,
       s1.begin(), s1.begin() + static_cast<std::ptrdiff_t>(anchor1));
   std::reverse(rev0.begin(), rev0.end());
   std::reverse(rev1.begin(), rev1.end());
-  const HalfExtension back = half(rev0, rev1);
+  const auto fwd0 = s0.subspan(anchor0 + seed_width);
+  const auto fwd1 = s1.subspan(anchor1 + seed_width);
 
-  const HalfExtension fwd = half(s0.subspan(anchor0 + seed_width),
-                                 s1.subspan(anchor1 + seed_width));
+  HalfExtension back, fwd;
+  if (kernel_ == GappedKernel::kAvx2) {
+    // Lockstep halves; a half that trips the guard re-runs alone on the
+    // scalar reference, exactly as half() does.
+    const auto halves =
+        xdrop_gapped_halves_avx2(rev0, rev1, fwd0, fwd1, rows_, params_);
+    back = halves[0] ? *halves[0]
+                     : xdrop_gapped_half(rev0, rev1, *matrix_, params_);
+    fwd = halves[1] ? *halves[1]
+                    : xdrop_gapped_half(fwd0, fwd1, *matrix_, params_);
+  } else {
+    back = half(rev0, rev1);
+    fwd = half(fwd0, fwd1);
+  }
 
   Alignment out;
   out.score = back.score + seed_score + fwd.score;
@@ -343,6 +356,14 @@ std::optional<HalfExtension> xdrop_gapped_half_avx2(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
     const GappedSimdMatrix& rows, const GapParams& params) {
   return xdrop_gapped_half_portable(a, b, rows, params);
+}
+
+std::array<std::optional<HalfExtension>, 2> xdrop_gapped_halves_avx2(
+    std::span<const std::uint8_t> a0, std::span<const std::uint8_t> b0,
+    std::span<const std::uint8_t> a1, std::span<const std::uint8_t> b1,
+    const GappedSimdMatrix& rows, const GapParams& params) {
+  return {xdrop_gapped_half_portable(a0, b0, rows, params),
+          xdrop_gapped_half_portable(a1, b1, rows, params)};
 }
 
 std::optional<int> banded_window_score_avx2(std::span<const std::uint8_t> s0,

@@ -18,22 +18,33 @@
 //    recurrence E(j) = max(H'(j-1) - (open+extend), E(j-1) - extend):
 //    a decayed prefix-max over the row, computable with log-step
 //    vector shift-maxes (decay k*extend for lane distance k).
-//  * Prune-free rows. The row's candidates are computed ignoring the
-//    X-drop prune, then a second pass applies the prune tests and best
-//    updates in scan order. Any candidate whose value flows through a
-//    pruned cell is itself strictly below best - x_drop (gap costs are
+//  * Prune-free rows. A block's candidates are computed ignoring the
+//    X-drop prune. Any candidate whose value flows through a pruned
+//    cell is itself strictly below best - x_drop (gap costs are
 //    nonnegative and the running best never decreases), so it is
-//    pruned either way: surviving values, prune flags and the best
-//    update sequence are identical to the scalar interleaving.
+//    pruned either way. The prune itself is a vector test: a cell is
+//    pruned exactly when it is below P - x_drop, P being the inclusive
+//    prefix-max of the row's candidates up to that cell, seeded with
+//    the running best. P is the scalar scan's running best at that
+//    cell, because a cell that beats the running best is never pruned
+//    and a pruned cell never raises it. When the row's max beats the
+//    running best, the best moves to the first cell equal to it, where
+//    the scalar strict '>' in scan order last fired. Surviving values,
+//    live bounds and the best cell are identical to the scalar
+//    interleaving.
+//
+// The AVX2 X-drop tier is a row stepper: GappedExtender::extend runs
+// the backward and forward halves of an anchor one row each in turn, so
+// their independent dependency chains overlap.
 //
 // Values live in a bias-32768 unsigned domain where 0 doubles as the
 // -inf sentinel: saturating unsigned subtraction makes "sentinel minus
 // gap cost" stay sentinel for free, and the zero fill of a lane shift
 // is exactly the sentinel. Whenever the running best nears the top of
 // the representable range (the 16-bit overflow guard), the kernel
-// returns nullopt and the dispatcher re-runs the whole call through the
-// scalar reference -- so saturation can only ever cost speed, never a
-// bit of output.
+// returns nullopt and the dispatcher re-runs the whole call (for
+// extend, that half) through the scalar reference -- so saturation can
+// only ever cost speed, never a bit of output.
 #pragma once
 
 #include <array>
@@ -116,8 +127,9 @@ GappedKernel resolve_gapped_kernel(GappedKernel requested,
                                    const GapParams& params) noexcept;
 
 // ---- raw tier entry points (tests and benches drive these directly) ----
-// All four return nullopt when the 16-bit overflow guard trips (running
-// best within 256 of +32767); callers re-run the scalar reference.
+// Each returns nullopt (the pair entry point, per half) when the 16-bit
+// overflow guard trips (running best within 256 of +32767); callers
+// re-run the scalar reference.
 
 std::optional<HalfExtension> xdrop_gapped_half_portable(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
@@ -127,6 +139,15 @@ std::optional<HalfExtension> xdrop_gapped_half_portable(
 /// not be called when gapped_avx2_available() is false on an x86 build.
 std::optional<HalfExtension> xdrop_gapped_half_avx2(
     std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
+    const GappedSimdMatrix& rows, const GapParams& params);
+
+/// Both halves of one extension on the AVX2 tier (a0 x b0 and a1 x b1),
+/// advanced one DP row each in turn so their independent dependency
+/// chains overlap. Same results as two xdrop_gapped_half_avx2 calls;
+/// each half is nullopt when it trips the guard on its own.
+std::array<std::optional<HalfExtension>, 2> xdrop_gapped_halves_avx2(
+    std::span<const std::uint8_t> a0, std::span<const std::uint8_t> b0,
+    std::span<const std::uint8_t> a1, std::span<const std::uint8_t> b1,
     const GappedSimdMatrix& rows, const GapParams& params);
 
 std::optional<int> banded_window_score_portable(

@@ -10,7 +10,6 @@
 #include "core/step3_gapped.hpp"
 #include "util/channel.hpp"
 #include "util/executor.hpp"
-#include "util/executor.hpp"
 #include "util/timer.hpp"
 
 namespace psc::core {
