@@ -214,14 +214,15 @@ BENCHMARK(BM_OperatorEngine<false>)->Name("BM_OperatorBatch");
 BENCHMARK(BM_OperatorEngine<true>)->Name("BM_OperatorCycleExact");
 
 // ---- step-2 kernel shoot-out --------------------------------------------
-// Direct calibrated timing of the three host kernels on the same
-// many-vs-one workload the step-2 engines run per seed key: one IL0
-// window scored against a batch of IL1 windows. The SIMD rows read the
-// matrix through the engine's once-built SubstitutionRows, so nothing is
-// built per IL0 window; the striped transpose is per key and timed
-// separately, with window extraction, as the staging case. The crossover
-// sweep times whole keys (staging + every IL0 window) to check the
-// blocked/SIMD cutover align::kSimdMinBatch.
+// Direct calibrated timing of the host kernels on the same many-vs-one
+// workload the step-2 engines run per seed key: one IL0 window scored
+// against a batch of IL1 windows at the engines' threshold. The 8-bit
+// screen reads the matrix through the engine's once-built biased
+// SubstitutionRows, so nothing is built per IL0 window; "simd" includes
+// the scalar rescore of its ceiling candidates. The striped transpose is per key
+// and timed separately, with window extraction, as the staging case. The
+// crossover sweep times whole keys (staging + every IL0 window) to check
+// the blocked/SIMD cutover align::kSimdMinBatch.
 
 struct KernelTiming {
   const char* name;
@@ -261,9 +262,12 @@ void run_step2_kernel_shootout() {
   const auto& m = bio::SubstitutionMatrix::blosum62();
   const std::size_t cells = count * length;
 
+  const int threshold = 38;  // core::PipelineOptions' default
+
   index::StripedWindows striped;
   striped.assign(batch);
   std::vector<int> scores;
+  std::vector<align::WindowScore> passed;
   const align::SubstitutionRows rows(m);
 
   KernelTiming timings[] = {
@@ -277,14 +281,14 @@ void run_step2_kernel_shootout() {
     benchmark::DoNotOptimize(scores.data());
   });
   timings[2].cells_per_sec = calibrated_cells_per_sec(cells, [&] {
-    align::ungapped_score_rows_vs_striped_portable(one.window(0), rows,
-                                                   striped, scores);
-    benchmark::DoNotOptimize(scores.data());
+    align::ungapped_screen_rows_vs_striped_portable(one.window(0), rows,
+                                                    striped, threshold, passed);
+    benchmark::DoNotOptimize(passed.data());
   });
   timings[3].cells_per_sec = calibrated_cells_per_sec(cells, [&] {
-    align::ungapped_score_rows_vs_striped(one.window(0), rows, striped,
-                                          scores);
-    benchmark::DoNotOptimize(scores.data());
+    align::ungapped_hits_rows_vs_striped(one.window(0), rows, striped, batch,
+                                         m, threshold, passed);
+    benchmark::DoNotOptimize(passed.data());
   });
 
   // Staging: what the engines do once per key and list before any kernel
@@ -306,10 +310,12 @@ void run_step2_kernel_shootout() {
 
   // Crossover: seconds per key of |IL0| IL0 windows against IL1 lists of
   // growing size, blocked vs striped SIMD (the SIMD side pays the
-  // transpose, so |IL0| = 1 is its worst case). The cutover belongs at
-  // the first size where SIMD wins for every |IL0|.
+  // transpose, so |IL0| = 1 is its worst case). IL0 windows come from the
+  // far end of the pool, so no pair is a window against itself and hits
+  // stay as rare as in a real search. The cutover belongs at the first
+  // size where SIMD wins for every |IL0|.
   const std::size_t crossover_il0[] = {1, 8};
-  const std::size_t crossover_il1[] = {4, 8, 12, 16, 24, 32, 48, 64};
+  const std::size_t crossover_il1[] = {2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
   struct Crossover {
     std::size_t il0 = 0;
     std::size_t il1 = 0;
@@ -327,7 +333,7 @@ void run_step2_kernel_shootout() {
                       calibrated_cells_per_sec(key_cells, [&] {
                         for (std::size_t i = 0; i < il0; ++i) {
                           align::ungapped_score_one_vs_many_blocked(
-                              batch.window(i), part, m, scores);
+                              batch.window(count - 1 - i), part, m, scores);
                           benchmark::DoNotOptimize(scores.data());
                         }
                       });
@@ -335,9 +341,11 @@ void run_step2_kernel_shootout() {
                    calibrated_cells_per_sec(key_cells, [&] {
                      striped.assign(part);
                      for (std::size_t i = 0; i < il0; ++i) {
-                       align::ungapped_score_rows_vs_striped(
-                           batch.window(i), rows, striped, scores);
-                       benchmark::DoNotOptimize(scores.data());
+                       align::ungapped_hits_rows_vs_striped(
+                           batch.window(count - 1 - i), rows, striped, part, m,
+                           threshold,
+                           passed);
+                       benchmark::DoNotOptimize(passed.data());
                      }
                    });
       crossover.push_back(row);

@@ -78,18 +78,19 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/core_test --gtest_filter='Step3Kernels.*'
 
-echo "== sanitizers: executor/overlap/rasc/service/cluster tests under TSan =="
+echo "== sanitizers: executor/overlap/rasc/store/service/cluster tests under TSan =="
 # rasc_test: the RASC driver simulates key chunks on executor workers
-# beside a BoardCache shared by the FPGA tasks.
+# beside a BoardCache shared by the FPGA tasks. store_test: the sharded
+# store writes its shards as executor tasks.
 cmake -B build-tsan -S . \
   -DPSC_ENABLE_SANITIZERS=thread \
   -DPSC_BUILD_BENCH=OFF \
   -DPSC_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build build-tsan -j "$jobs" --target util_test core_test \
-  rasc_test service_test cluster_test
+  rasc_test store_test service_test cluster_test
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure \
-  -R '^(util|core|rasc|service|cluster)_test$'
+  -R '^(util|core|rasc|store|service|cluster)_test$'
 
 echo "== sanitizers: step-3 kernel equality (incl. overlap path) under TSan =="
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \

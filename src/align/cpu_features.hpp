@@ -1,8 +1,8 @@
 // Runtime CPU capability detection for the host step-2 kernel dispatch.
 //
 // The SIMD ungapped kernel (align/ungapped_simd.hpp) ships three tiers:
-// an AVX2 path scoring 16 windows per vector, a portable autovectorizable
-// path, and the scalar/blocked reference. Which tier actually runs is a
+// an AVX2 path screening 32 windows per vector, a portable
+// autovectorizable path, and the scalar/blocked reference. Which tier actually runs is a
 // property of the machine the binary lands on, not of the build, so the
 // choice is made once at startup from CPUID-style feature queries rather
 // than from compile-time macros -- the same binary degrades gracefully

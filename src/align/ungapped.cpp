@@ -1,5 +1,6 @@
 #include "align/ungapped.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace psc::align {
@@ -10,10 +11,11 @@ int ungapped_window_score(std::span<const std::uint8_t> s0,
   const std::size_t len = s0.size() < s1.size() ? s0.size() : s1.size();
   int score = 0;
   int best = 0;
+  // Branch-free max/clamp: the running score's sign is data-dependent, so
+  // branches here mispredict about every other cell.
   for (std::size_t k = 0; k < len; ++k) {
-    score += matrix.score(s0[k], s1[k]);
-    if (score < 0) score = 0;
-    if (score > best) best = score;
+    score = std::max(score + matrix.score(s0[k], s1[k]), 0);
+    best = std::max(best, score);
   }
   return best;
 }

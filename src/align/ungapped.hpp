@@ -40,7 +40,9 @@ void ungapped_score_one_vs_many(std::span<const std::uint8_t> s0,
 /// scores four IL1 windows per pass with independent accumulators so the
 /// substitution-row load for s0[k] is shared and the adds/max pipeline
 /// across windows -- the software analogue of the PE array's SIMD
-/// parallelism, and the kernel the host step-2 backends run.
+/// parallelism, and the kernel the host step-2 backends run. It indexes
+/// the matrix directly, so residues must be encoder codes
+/// (< bio::kProteinAlphabetSize), as every extracted window's are.
 void ungapped_score_one_vs_many_blocked(std::span<const std::uint8_t> s0,
                                         const index::WindowBatch& batch,
                                         const bio::SubstitutionMatrix& matrix,

@@ -74,7 +74,7 @@ OverlapOutcome run_steps23_overlapped(
     std::size_t workers) {
   OverlapOutcome out;
   out.kernel = align::resolve_ungapped_kernel(options.step2_kernel, matrix,
-                                              options.shape.length());
+                                              options.ungapped_threshold);
   // One extender shared read-only by every worker and the replay: all
   // kernels are bit-identical, so eager and replayed extensions may
   // freely mix tiers (an overflow fallback in one never shows).

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
-#include "align/ungapped.hpp"
 #include "index/neighborhood.hpp"
 #include "util/executor.hpp"
 
@@ -17,35 +15,34 @@ namespace {
 /// committing meaningful memory (a hit is a few dozen bytes).
 constexpr std::size_t kStep2PartialReserve = 256;
 
-/// Per-worker kernel state: window batches, the SIMD path's striped image
-/// and substitution rows, and the score buffer. One instance is owned by
-/// each engine thread and threaded through process_key, so kernel scratch
-/// ownership is explicit (no function-local TLS) and the hot loop
-/// performs no allocation once the buffers have grown to steady state.
+/// Per-worker kernel state: window batches, the hit finder (which owns
+/// the resolved kernel's rows, striped image and score buffer) and the
+/// hit buffer. One instance is owned by each engine thread and threaded
+/// through process_key, so kernel scratch ownership is explicit (no
+/// function-local TLS) and the hot loop performs no allocation once the
+/// buffers have grown to steady state.
 struct Step2Scratch {
   index::WindowBatch batch0;
   index::WindowBatch batch1;
-  index::StripedWindows striped1;
-  /// The matrix's residue-indexed rows, built once when the resolved
-  /// kernel is kSimd (the only kernel that reads them).
-  std::optional<align::SubstitutionRows> rows;
-  std::vector<int> scores;
+  align::UngappedHitFinder finder;
+  std::vector<align::WindowScore> passed;
 
   Step2Scratch(std::size_t window_length,
-               const bio::SubstitutionMatrix& matrix,
+               const bio::SubstitutionMatrix& matrix, int threshold,
                align::UngappedKernel kernel)
-      : batch0(window_length), batch1(window_length) {
-    if (kernel == align::UngappedKernel::kSimd) rows.emplace(matrix);
-  }
+      : batch0(window_length),
+        batch1(window_length),
+        finder(kernel, matrix, threshold) {}
 };
 
-/// Processes one seed key with the resolved kernel, appending hits.
-std::uint64_t process_key(
-    const bio::SequenceBank& bank0, const index::IndexTable& table0,
-    const bio::SequenceBank& bank1, const index::IndexTable& table1,
-    const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
-    int threshold, align::UngappedKernel kernel, index::SeedKey key,
-    Step2Scratch& scratch, std::vector<align::SeedPairHit>& hits) {
+/// Processes one seed key with the scratch's kernel, appending hits.
+std::uint64_t process_key(const bio::SequenceBank& bank0,
+                          const index::IndexTable& table0,
+                          const bio::SequenceBank& bank1,
+                          const index::IndexTable& table1,
+                          const index::WindowShape& shape, index::SeedKey key,
+                          Step2Scratch& scratch,
+                          std::vector<align::SeedPairHit>& hits) {
   const auto list0 = table0.occurrences(key);
   const auto list1 = table1.occurrences(key);
   if (list0.empty() || list1.empty()) return 0;
@@ -54,58 +51,35 @@ std::uint64_t process_key(
   index::extract_windows(bank1, list1, shape, scratch.batch1);
 
   // One IL0 window against the whole IL1 batch per kernel invocation --
-  // the software mirror of a PE's duty in the array. The kernels agree
-  // bit-for-bit (enforced by resolve_ungapped_kernel and the align
-  // property tests), so the hit set is independent of the choice.
+  // the software mirror of a PE's duty in the array. Every kernel reports
+  // exactly the pairs at or above the threshold with their exact scores,
+  // so the hit set is independent of the choice.
   const index::WindowBatch& batch0 = scratch.batch0;
   const index::WindowBatch& batch1 = scratch.batch1;
-  std::vector<int>& scores = scratch.scores;
-  align::UngappedKernel key_kernel = kernel;
-  if (kernel == align::UngappedKernel::kSimd) {
-    if (batch1.size() >= align::kSimdMinBatch) {
-      scratch.striped1.assign(batch1);
-    } else {
-      key_kernel = align::UngappedKernel::kBlocked;
-    }
-  }
+  scratch.finder.assign(batch1);
   for (std::size_t i0 = 0; i0 < batch0.size(); ++i0) {
-    switch (key_kernel) {
-      case align::UngappedKernel::kSimd:
-        align::ungapped_score_rows_vs_striped(batch0.window(i0), *scratch.rows,
-                                              scratch.striped1, scores);
-        break;
-      case align::UngappedKernel::kScalar:
-        align::ungapped_score_one_vs_many(batch0.window(i0), batch1, matrix,
-                                          scores);
-        break;
-      default:
-        align::ungapped_score_one_vs_many_blocked(batch0.window(i0), batch1,
-                                                  matrix, scores);
-        break;
-    }
-    for (std::size_t i1 = 0; i1 < scores.size(); ++i1) {
-      if (scores[i1] >= threshold) {
-        hits.push_back(align::SeedPairHit{batch0.source(i0),
-                                          batch1.source(i1), scores[i1]});
-      }
+    scratch.finder.hits(batch0.window(i0), scratch.passed);
+    for (const align::WindowScore& hit : scratch.passed) {
+      hits.push_back(align::SeedPairHit{batch0.source(i0),
+                                        batch1.source(hit.window), hit.score});
     }
   }
   return static_cast<std::uint64_t>(list0.size()) * list1.size();
 }
 
 /// Processes keys [first, last).
-std::uint64_t process_key_range(
-    const bio::SequenceBank& bank0, const index::IndexTable& table0,
-    const bio::SequenceBank& bank1, const index::IndexTable& table1,
-    const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
-    int threshold, align::UngappedKernel kernel, std::size_t first,
-    std::size_t last, Step2Scratch& scratch,
-    std::vector<align::SeedPairHit>& hits) {
+std::uint64_t process_key_range(const bio::SequenceBank& bank0,
+                                const index::IndexTable& table0,
+                                const bio::SequenceBank& bank1,
+                                const index::IndexTable& table1,
+                                const index::WindowShape& shape,
+                                std::size_t first, std::size_t last,
+                                Step2Scratch& scratch,
+                                std::vector<align::SeedPairHit>& hits) {
   std::uint64_t pairs = 0;
   for (std::size_t k = first; k < last; ++k) {
-    pairs += process_key(bank0, table0, bank1, table1, matrix, shape,
-                         threshold, kernel, static_cast<index::SeedKey>(k),
-                         scratch, hits);
+    pairs += process_key(bank0, table0, bank1, table1, shape,
+                         static_cast<index::SeedKey>(k), scratch, hits);
   }
   return pairs;
 }
@@ -157,11 +131,10 @@ HostStep2Result run_step2_host(
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
     int threshold, align::UngappedKernel kernel) {
   HostStep2Result out;
-  out.kernel = align::resolve_ungapped_kernel(kernel, matrix, shape.length());
-  Step2Scratch scratch(shape.length(), matrix, out.kernel);
-  out.pairs = process_key_range(bank0, table0, bank1, table1, matrix, shape,
-                                threshold, out.kernel, 0, table0.key_space(),
-                                scratch, out.hits);
+  Step2Scratch scratch(shape.length(), matrix, threshold, kernel);
+  out.kernel = scratch.finder.kernel();
+  out.pairs = process_key_range(bank0, table0, bank1, table1, shape, 0,
+                                table0.key_space(), scratch, out.hits);
   out.cells = out.pairs * shape.length();
   return out;
 }
@@ -174,15 +147,15 @@ HostStep2Result run_step2_host_keys(
     align::UngappedKernel kernel, Step2Schedule schedule,
     util::Executor* executor) {
   HostStep2Result out;
-  out.kernel = align::resolve_ungapped_kernel(kernel, matrix, shape.length());
+  out.kernel = align::resolve_ungapped_kernel(kernel, matrix, threshold);
   if (keys.empty()) return out;
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
   if (workers <= 1) {
-    Step2Scratch scratch(shape.length(), matrix, out.kernel);
+    Step2Scratch scratch(shape.length(), matrix, threshold, out.kernel);
     for (const index::SeedKey key : keys) {
-      out.pairs += process_key(bank0, table0, bank1, table1, matrix, shape,
-                               threshold, out.kernel, key, scratch, out.hits);
+      out.pairs += process_key(bank0, table0, bank1, table1, shape, key,
+                               scratch, out.hits);
     }
     out.cells = out.pairs * shape.length();
     normalize_step2_hits(out.hits);
@@ -199,13 +172,11 @@ HostStep2Result run_step2_host_keys(
   std::vector<HostStep2Result> partial(chunks.size());
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     group.run([&, c, kernel_used = out.kernel] {
-      Step2Scratch scratch(shape.length(), matrix, kernel_used);
+      Step2Scratch scratch(shape.length(), matrix, threshold, kernel_used);
       partial[c].hits.reserve(kStep2PartialReserve);
       for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-        partial[c].pairs +=
-            process_key(bank0, table0, bank1, table1, matrix, shape,
-                        threshold, kernel_used, keys[i], scratch,
-                        partial[c].hits);
+        partial[c].pairs += process_key(bank0, table0, bank1, table1, shape,
+                                        keys[i], scratch, partial[c].hits);
       }
     });
   }
@@ -229,7 +200,7 @@ HostStep2Result run_step2_host_parallel(
     int threshold, std::size_t threads, align::UngappedKernel kernel,
     Step2Schedule schedule, util::Executor* executor) {
   const align::UngappedKernel kernel_used =
-      align::resolve_ungapped_kernel(kernel, matrix, shape.length());
+      align::resolve_ungapped_kernel(kernel, matrix, threshold);
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
   const auto chunks =
@@ -244,11 +215,11 @@ HostStep2Result run_step2_host_parallel(
   std::atomic<std::uint64_t> total_pairs{0};
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     group.run([&, c] {
-      Step2Scratch scratch(shape.length(), matrix, kernel_used);
+      Step2Scratch scratch(shape.length(), matrix, threshold, kernel_used);
       partial[c].hits.reserve(kStep2PartialReserve);
       partial[c].pairs = process_key_range(
-          bank0, table0, bank1, table1, matrix, shape, threshold, kernel_used,
-          chunks[c].first, chunks[c].second, scratch, partial[c].hits);
+          bank0, table0, bank1, table1, shape, chunks[c].first,
+          chunks[c].second, scratch, partial[c].hits);
       total_pairs.fetch_add(partial[c].pairs, std::memory_order_relaxed);
     });
   }
@@ -273,10 +244,7 @@ struct Step2KeyScorer::Impl {
   const index::IndexTable& table0;
   const bio::SequenceBank& bank1;
   const index::IndexTable& table1;
-  const bio::SubstitutionMatrix& matrix;
   index::WindowShape shape;
-  int threshold;
-  align::UngappedKernel kernel;
   Step2Scratch scratch;
 
   Impl(const bio::SequenceBank& b0, const index::IndexTable& t0,
@@ -287,11 +255,8 @@ struct Step2KeyScorer::Impl {
         table0(t0),
         bank1(b1),
         table1(t1),
-        matrix(m),
         shape(s),
-        threshold(threshold_in),
-        kernel(align::resolve_ungapped_kernel(k, m, s.length())),
-        scratch(s.length(), m, kernel) {}
+        scratch(s.length(), m, threshold_in, k) {}
 };
 
 Step2KeyScorer::Step2KeyScorer(
@@ -304,15 +269,16 @@ Step2KeyScorer::Step2KeyScorer(
 
 Step2KeyScorer::~Step2KeyScorer() = default;
 
-align::UngappedKernel Step2KeyScorer::kernel() const { return impl_->kernel; }
+align::UngappedKernel Step2KeyScorer::kernel() const {
+  return impl_->scratch.finder.kernel();
+}
 
 std::uint64_t Step2KeyScorer::score_range(
     std::size_t first_key, std::size_t last_key,
     std::vector<align::SeedPairHit>& hits) {
   return process_key_range(impl_->bank0, impl_->table0, impl_->bank1,
-                           impl_->table1, impl_->matrix, impl_->shape,
-                           impl_->threshold, impl_->kernel, first_key,
-                           last_key, impl_->scratch, hits);
+                           impl_->table1, impl_->shape, first_key, last_key,
+                           impl_->scratch, hits);
 }
 
 }  // namespace psc::core

@@ -96,35 +96,43 @@ void transpose16(const std::uint8_t* src, std::size_t src_stride,
 }  // namespace
 
 void StripedWindows::assign(const WindowBatch& batch) {
-  static_assert(kLaneWidth == 16, "transpose16 moves 16-lane groups");
+  // A lane group is two 16 x 16 transpose blocks side by side.
+  constexpr std::size_t kBlock = 16;
+  static_assert(kLaneWidth % kBlock == 0, "transpose16 moves 16-lane blocks");
   window_length_ = batch.window_length();
   count_ = batch.size();
   stride_ = (count_ + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
   residues_.resize(window_length_ * stride_);
   const std::uint8_t* flat = batch.flat().data();
   const std::size_t length = window_length_;
-  const std::size_t blocked = length / kLaneWidth * kLaneWidth;
-  std::uint8_t block[kLaneWidth * kLaneWidth];
-  for (std::size_t g = 0; g < stride_; g += kLaneWidth) {
-    const std::size_t lanes = std::min(kLaneWidth, count_ - g);
-    for (std::size_t k = 0; k < blocked; k += kLaneWidth) {
+  const std::size_t blocked = length / kBlock * kBlock;
+  std::uint8_t block[kBlock * kBlock];
+  for (std::size_t g = 0; g < stride_; g += kBlock) {
+    if (g >= count_) {
+      // The all-padding second block of the last group.
+      for (std::size_t k = 0; k < length; ++k) {
+        std::memset(residues_.data() + k * stride_ + g, bio::kUnknownX, kBlock);
+      }
+      continue;
+    }
+    const std::size_t lanes = std::min(kBlock, count_ - g);
+    for (std::size_t k = 0; k < blocked; k += kBlock) {
       std::uint8_t* dst = residues_.data() + k * stride_ + g;
-      if (lanes == kLaneWidth) {
+      if (lanes == kBlock) {
         transpose16(flat + g * length + k, length, dst, stride_);
         continue;
       }
-      // The last, partial group: stage its windows in an X-filled block.
+      // The last, partial block: stage its windows in an X-filled block.
       std::fill(std::begin(block), std::end(block), bio::kUnknownX);
       for (std::size_t l = 0; l < lanes; ++l) {
-        std::memcpy(block + l * kLaneWidth, flat + (g + l) * length + k,
-                    kLaneWidth);
+        std::memcpy(block + l * kBlock, flat + (g + l) * length + k, kBlock);
       }
-      transpose16(block, kLaneWidth, dst, stride_);
+      transpose16(block, kBlock, dst, stride_);
     }
     // Positions past the last whole block.
     for (std::size_t k = blocked; k < length; ++k) {
       std::uint8_t* dst = residues_.data() + k * stride_ + g;
-      for (std::size_t l = 0; l < kLaneWidth; ++l) {
+      for (std::size_t l = 0; l < kBlock; ++l) {
         dst[l] = l < lanes ? flat[(g + l) * length + k] : bio::kUnknownX;
       }
     }

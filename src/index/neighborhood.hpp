@@ -80,17 +80,17 @@ void extract_windows(const bio::SequenceBank& bank,
                      const WindowShape& shape, WindowBatch& out);
 
 /// A WindowBatch transposed into striped (position-major) order for the
-/// SIMD many-vs-one kernel: residue of window i at position k lives at
-/// position(k)[i], so the 16 windows a vector register carries read 16
-/// contiguous bytes per position instead of 16 strided ones. The window
+/// SIMD many-vs-one screen: residue of window i at position k lives at
+/// position(k)[i], so the 32 windows a vector register carries read 32
+/// contiguous bytes per position instead of 32 strided ones. The window
 /// count is padded to a multiple of kLaneWidth with X so kernels never
 /// need a remainder loop; padded lanes score like real windows and their
 /// results are simply dropped.
 class StripedWindows {
  public:
-  /// Windows per vector group; matches the 16 x 16-bit lanes of a 256-bit
-  /// register and divides evenly into the portable tier's lane arrays.
-  static constexpr std::size_t kLaneWidth = 16;
+  /// Windows per vector group; matches the 32 x 8-bit lanes of a 256-bit
+  /// register and the portable tier's lane arrays.
+  static constexpr std::size_t kLaneWidth = 32;
 
   /// Rebuilds the striped image of `batch` (reuses storage across calls).
   void assign(const WindowBatch& batch);

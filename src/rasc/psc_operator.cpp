@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "align/ungapped.hpp"
-
 namespace psc::rasc {
 
 OperatorStats& OperatorStats::operator+=(const OperatorStats& other) {
@@ -36,12 +34,10 @@ PscOperator::PscOperator(const PscConfig& config,
     : config_(config),
       rom_(&rom),
       cascade_(config.num_slots(), config.fifo_depth),
-      kernel_(align::resolve_ungapped_kernel(align::UngappedKernel::kAuto,
-                                             rom, config.window_length)),
+      finder_(align::UngappedKernel::kAuto, rom, config.threshold),
       tile_(config.window_length),
       counts_(kIl1Tile + 1) {
   config_.validate();
-  if (kernel_ == align::UngappedKernel::kSimd) rows_.emplace(rom);
   slots_.reserve(config_.num_slots());
   std::size_t remaining = config_.num_pes;
   for (std::size_t s = 0; s < config_.num_slots(); ++s) {
@@ -63,30 +59,22 @@ double PscOperator::modeled_seconds() const {
 void PscOperator::score_tile(const index::WindowBatch& il0, std::size_t first,
                              std::size_t loaded,
                              const index::WindowBatch& tile,
-                             std::size_t tile_first, bool simd,
+                             std::size_t tile_first,
                              std::vector<ResultRecord>& out) {
   const std::size_t width = tile.size();
-  if (simd) striped_.assign(tile);
+  finder_.assign(tile);
   // Score PE by PE (one kernel call per loaded IL0 window), keeping only
   // passing pairs and counting them per IL1 window.
   pending_.clear();
   std::fill_n(counts_.begin(), width + 1, 0u);
   for (std::size_t i = 0; i < loaded; ++i) {
-    if (simd) {
-      align::ungapped_score_rows_vs_striped(il0.window(first + i), *rows_,
-                                            striped_, scores_);
-    } else {
-      align::ungapped_score_one_vs_many_blocked(il0.window(first + i), tile,
-                                                *rom_, scores_);
-    }
-    for (std::size_t j = 0; j < width; ++j) {
-      if (scores_[j] >= config_.threshold) {
-        pending_.push_back(
-            ResultRecord{static_cast<std::uint32_t>(first + i),
-                         static_cast<std::uint32_t>(tile_first + j),
-                         scores_[j]});
-        ++counts_[j + 1];
-      }
+    finder_.hits(il0.window(first + i), passed_);
+    for (const align::WindowScore& hit : passed_) {
+      pending_.push_back(
+          ResultRecord{static_cast<std::uint32_t>(first + i),
+                       static_cast<std::uint32_t>(tile_first + hit.window),
+                       hit.score});
+      ++counts_[hit.window + 1];
     }
   }
   // Counting sort into the array's completion order: IL1 window major,
@@ -113,8 +101,6 @@ void PscOperator::run_key(const index::WindowBatch& il0,
   const std::size_t pe_count = config_.num_pes;
   const std::size_t k0 = il0.size();
   const std::size_t k1 = il1.size();
-  const bool simd =
-      kernel_ == align::UngappedKernel::kSimd && k1 >= align::kSimdMinBatch;
 
   for (std::size_t first = 0; first < k0; first += pe_count) {
     const std::size_t loaded = std::min(pe_count, k0 - first);
@@ -132,7 +118,7 @@ void PscOperator::run_key(const index::WindowBatch& il0,
         tile_.assign(il1, tile_first, width);
         tile = &tile_;
       }
-      score_tile(il0, first, loaded, *tile, tile_first, simd, out);
+      score_tile(il0, first, loaded, *tile, tile_first, out);
 
       std::size_t previous = 0;
       for (std::size_t j = 0; j < width; ++j) {

@@ -11,13 +11,15 @@
 //    implementation of the architecture and the only engine that drives
 //    ProcessingElement / PeSlot.
 //
-//  * run_key -- the batch engine: no PE is loaded. Each round's score
-//    block (loaded IL0 windows x IL1 windows) comes from the host step-2
-//    kernels in align/ (the striped SIMD kernel, one lane per PE, or the
-//    blocked kernel for short IL1 lists and matrices the SIMD tier cannot
-//    score exactly), which compute the PE datapath's max-prefix-sum
-//    bit-for-bit. Like the PEs' substitution ROM, the matrix is laid out
-//    once per operator as residue-indexed rows (align::SubstitutionRows)
+//  * run_key -- the batch engine: no PE is loaded. Each round's passing
+//    pairs (loaded IL0 windows x IL1 windows) come from the host step-2
+//    kernels through align::UngappedHitFinder (the striped 8-bit screen,
+//    one lane per PE, with lanes that reached the 8-bit ceiling rescored
+//    by the scalar reference; or the blocked kernel for short IL1 tiles
+//    and configurations the screen cannot bound), which reports exactly
+//    the pairs the PE datapath's max-prefix-sum passes, with their exact
+//    scores. Like the PEs' substitution ROM, the matrix is laid out once
+//    per operator as biased residue-indexed rows (align::SubstitutionRows)
 //    and each loaded IL0 window is read in place, so a round's load phase
 //    costs modeled cycles only. IL1 is scored in fixed-size tiles, and records are
 //    emitted in the array's completion order (round, then IL1 window,
@@ -38,10 +40,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "align/substitution_rows.hpp"
 #include "align/ungapped_simd.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "index/neighborhood.hpp"
@@ -115,8 +115,7 @@ class PscOperator {
   /// counts_[j] ends as the record count of the tile's windows <= j.
   void score_tile(const index::WindowBatch& il0, std::size_t first,
                   std::size_t loaded, const index::WindowBatch& tile,
-                  std::size_t tile_first, bool simd,
-                  std::vector<ResultRecord>& out);
+                  std::size_t tile_first, std::vector<ResultRecord>& out);
 
   PscConfig config_;
   const bio::SubstitutionMatrix* rom_;
@@ -125,13 +124,12 @@ class PscOperator {
   FifoCascade cascade_;
   OutputController output_;
   OperatorStats stats_;
-  // Batch engine state: the ROM as residue-indexed rows (built once, when
-  // the SIMD kernel applies) and scratch bounded by the IL1 tile size.
-  align::UngappedKernel kernel_;
-  std::optional<align::SubstitutionRows> rows_;
+  // Batch engine state: the hit finder (which holds the ROM as biased
+  // residue-indexed rows when the screen applies) and scratch bounded by
+  // the IL1 tile size.
+  align::UngappedHitFinder finder_;
   index::WindowBatch tile_;
-  index::StripedWindows striped_;
-  std::vector<int> scores_;
+  std::vector<align::WindowScore> passed_;
   std::vector<ResultRecord> pending_;
   std::vector<std::uint32_t> counts_;
 };

@@ -1,6 +1,7 @@
 #include "store/compress.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "store/format.hpp"
@@ -20,10 +21,43 @@ constexpr std::size_t kWindow = 65535;              // u16 distance, 0 invalid
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kMaxChain = 64;
 
+// Chain links live in a ring of kRing slots indexed by position: the
+// walk stops at the first link older than kWindow, and every slot it
+// reads belongs to a position within kWindow < kRing of the current one,
+// which no later insert has reused yet. So the ring yields the same
+// token stream as one link per input byte, in bounded memory. Links are
+// position + 1 (0 = none), truncated to u32; the truncation only matters
+// past 4 GiB, where it can at worst pick a different -- still valid --
+// match.
+constexpr std::size_t kRing = std::size_t{1} << 16;
+static_assert(kRing > kWindow, "a live link must not share a ring slot");
+
 inline std::uint32_t hash4(const std::uint8_t* p) {
   std::uint32_t v = 0;
   std::memcpy(&v, p, sizeof(v));
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+/// Length of the common prefix of a and b, at most `limit` bytes.
+inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                                std::size_t limit) {
+  std::size_t len = 0;
+  while (len + sizeof(std::uint64_t) <= limit) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, a + len, sizeof(x));
+    std::memcpy(&y, b + len, sizeof(y));
+    if (x != y) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<std::size_t>(std::countr_zero(x ^ y)) / 8;
+      } else {
+        return len + static_cast<std::size_t>(std::countl_zero(x ^ y)) / 8;
+      }
+    }
+    len += sizeof(std::uint64_t);
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
 }
 
 }  // namespace
@@ -33,8 +67,9 @@ std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> raw) {
   if (raw.empty()) return out;
   out.reserve(raw.size() / 2 + 16);
 
-  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
-  std::vector<std::int64_t> prev(raw.size(), -1);
+  std::vector<std::uint32_t> head(std::size_t{1} << kHashBits, 0);
+  std::vector<std::uint32_t> links(std::min(kRing, raw.size()), 0);
+  const std::size_t ring_mask = kRing - 1;
 
   std::size_t flag_at = 0;  // position of the current flag byte in `out`
   int flag_bit = 8;         // 8 = need a fresh flag byte
@@ -52,29 +87,34 @@ std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> raw) {
   const auto insert = [&](std::size_t at) {
     if (at + kMinMatch > raw.size()) return;
     const std::uint32_t h = hash4(raw.data() + at);
-    prev[at] = head[h];
-    head[h] = static_cast<std::int64_t>(at);
+    links[at & ring_mask] = head[h];
+    head[h] = static_cast<std::uint32_t>(at + 1);
   };
 
+  const std::uint8_t* data = raw.data();
   while (pos < raw.size()) {
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
     if (pos + kMinMatch <= raw.size()) {
       const std::size_t limit = std::min(kMaxMatch, raw.size() - pos);
-      std::int64_t candidate = head[hash4(raw.data() + pos)];
+      const auto here = static_cast<std::uint32_t>(pos + 1);
+      std::uint32_t link = head[hash4(data + pos)];
       std::size_t chain = 0;
-      while (candidate >= 0 && chain < kMaxChain) {
-        const std::size_t cand = static_cast<std::size_t>(candidate);
-        const std::size_t dist = pos - cand;
-        if (dist > kWindow) break;  // chain only gets older
-        std::size_t len = 0;
-        while (len < limit && raw[cand + len] == raw[pos + len]) ++len;
-        if (len > best_len) {
-          best_len = len;
-          best_dist = dist;
-          if (len == limit) break;
+      while (link != 0 && chain < kMaxChain) {
+        const std::size_t dist = static_cast<std::uint32_t>(here - link);
+        if (dist == 0 || dist > kWindow) break;  // chain only gets older
+        const std::size_t cand = pos - dist;
+        // A candidate can only beat best_len if it also matches the byte
+        // at best_len (best_len < limit: a full-length match ends the walk).
+        if (data[cand + best_len] == data[pos + best_len]) {
+          const std::size_t len = match_length(data + cand, data + pos, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = dist;
+            if (len == limit) break;
+          }
         }
-        candidate = prev[cand];
+        link = links[cand & ring_mask];
         ++chain;
       }
     }

@@ -10,6 +10,7 @@
 #include "store/format.hpp"
 #include "store/index_store.hpp"
 #include "store/mmap_file.hpp"
+#include "util/executor.hpp"
 
 namespace psc::store {
 
@@ -262,28 +263,37 @@ ShardManifest write_sharded_store(const std::string& prefix,
   manifest.total_residues = bank.total_residues();
   manifest.revision = 1;  // fresh builds start the append lineage
 
+  // One executor task per shard, at most `threads` at a time: each task
+  // writes its own file pair and fills its own manifest slot, so the
+  // files are byte-identical to a serial build whatever the order.
   const auto plan = plan_shards(bank, shard_max_bytes);
-  manifest.shards.reserve(plan.size());
+  manifest.shards.resize(plan.size());
+  const std::size_t workers =
+      threads == 0 ? util::default_thread_count() : threads;
+  util::Executor::TaskGroup group(util::Executor::shared(), workers);
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    const auto [begin, end] = plan[i];
-    bio::SequenceBank piece(bank.kind());
-    for (std::size_t s = begin; s < end; ++s) piece.add(bank[s]);
+    group.run([&, i] {
+      const auto [begin, end] = plan[i];
+      bio::SequenceBank piece(bank.kind());
+      for (std::size_t s = begin; s < end; ++s) piece.add(bank[s]);
 
-    const std::string piece_prefix = shard_prefix(prefix, i);
-    const std::uint64_t checksum =
-        save_bank(piece_prefix + ".pscbank", piece, compress);
-    const index::IndexTable table =
-        serial_index ? index::IndexTable(piece, model)
-                     : index::IndexTable::build_parallel(piece, model, threads);
-    save_index(piece_prefix + ".pscidx", table, model, checksum, compress);
+      const std::string piece_prefix = shard_prefix(prefix, i);
+      const std::uint64_t checksum =
+          save_bank(piece_prefix + ".pscbank", piece, compress);
+      const index::IndexTable table =
+          serial_index
+              ? index::IndexTable(piece, model)
+              : index::IndexTable::build_parallel(piece, model, threads);
+      save_index(piece_prefix + ".pscidx", table, model, checksum, compress);
 
-    ShardInfo shard;
-    shard.sequence_base = begin;
-    shard.sequence_count = end - begin;
-    shard.residues = piece.total_residues();
-    shard.bank_checksum = checksum;
-    manifest.shards.push_back(shard);
+      ShardInfo& shard = manifest.shards[i];
+      shard.sequence_base = begin;
+      shard.sequence_count = end - begin;
+      shard.residues = piece.total_residues();
+      shard.bank_checksum = checksum;
+    });
   }
+  group.wait();
   manifest.set_checksum = fold_set_checksum(manifest.shards);
   save_manifest(manifest_path(prefix), manifest);
   return manifest;

@@ -98,10 +98,13 @@ ShardManifest load_manifest(const std::string& path,
 
 /// Splits `bank` per plan_shards, writes each shard's .pscbank/.pscidx
 /// (the index built under `model`, with the shard's bank checksum
-/// recorded) and the manifest, and returns the manifest. `threads`
-/// follows IndexTable::build_parallel (0 = hardware concurrency);
-/// `serial_index` forces the serial constructor (identical layout);
-/// `compress` stores the shard pairs as v3 LZSS archives.
+/// recorded) and the manifest, and returns the manifest. Shards are
+/// written in parallel, at most `threads` at once (0 = hardware
+/// concurrency), and each shard's index follows
+/// IndexTable::build_parallel with the same `threads`; the files are
+/// byte-identical to a one-thread build. `serial_index` forces the
+/// serial index constructor (identical layout); `compress` stores the
+/// shard pairs as v3 LZSS archives.
 ShardManifest write_sharded_store(const std::string& prefix,
                                   const bio::SequenceBank& bank,
                                   const index::SeedModel& model,

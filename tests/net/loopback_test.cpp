@@ -569,7 +569,16 @@ TEST_F(LoopbackTest, ClientsWithDifferentOptionsNeverShareAPass) {
   for (int repeat = 0; repeat < 8; ++repeat) {
     for (const bio::Sequence& protein : saved.proteins) heavy.add(protein);
   }
-  auto priming = service_->submit(heavy, saved.prefix);
+  // The priming pass keeps the worker busy while both clients queue. Its
+  // options differ from both clients' (default options equal
+  // plain_options, and a plain query arriving before the worker took the
+  // priming one could legitimately coalesce with it).
+  service::ServiceRequest priming_request;
+  priming_request.query = heavy;
+  priming_request.bank_prefix = saved.prefix;
+  priming_request.options = service_->default_query_options();
+  priming_request.options.composition_based_stats = true;
+  auto priming = service_->submit(std::move(priming_request));
 
   service::QueryOptions traced_options;
   traced_options.with_traceback = true;

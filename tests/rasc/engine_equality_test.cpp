@@ -3,8 +3,10 @@
 //  * PscOperator::run_key (scores through the align kernels) returns the
 //    records of run_key_cycle_exact (which steps every PE) and the same
 //    modeled counters, across PE-array geometries, IL1 list lengths on
-//    both sides of the SIMD cutover and across several IL1 tiles, and a
-//    matrix the SIMD tier cannot score exactly;
+//    both sides of the SIMD cutover, around the 32-lane groups and across
+//    several IL1 tiles, a matrix whose windows saturate the 8-bit screen's
+//    lanes (the scalar rescore must restore every score), and a matrix
+//    the screen cannot bound (the batch engine takes the blocked kernel);
 //  * run_rasc_step2 with threaded = true (key chunks on the executor)
 //    equals threaded = false on the hit vector, order included, on every
 //    FpgaRunReport field and on the BoardCache counters;
@@ -28,15 +30,26 @@ namespace {
 constexpr std::size_t kWindow = 16;
 const index::WindowShape kShape{4, 6};
 
-/// BLOSUM62 with one cell outside int8: the SIMD tier cannot score it
-/// exactly, so the batch engine must take the blocked kernel.
+/// BLOSUM62 with W/W raised to `ww`.
+bio::SubstitutionMatrix with_ww(int ww) {
+  bio::SubstitutionMatrix m = bio::SubstitutionMatrix::blosum62();
+  const bio::Residue w = bio::encode_protein('W');
+  m.set_score(w, w, static_cast<bio::SubstitutionMatrix::Score>(ww));
+  return m;
+}
+
+/// W/W = 150: the biased cells still fit u8, but two aligned W pairs
+/// already clamp a screen lane at its ceiling (255 - 4), so the screen
+/// passes those lanes on and the scalar rescore restores their scores.
 const bio::SubstitutionMatrix& wide_matrix() {
-  static const bio::SubstitutionMatrix matrix = [] {
-    bio::SubstitutionMatrix m = bio::SubstitutionMatrix::blosum62();
-    const bio::Residue w = bio::encode_protein('W');
-    m.set_score(w, w, 150);
-    return m;
-  }();
+  static const bio::SubstitutionMatrix matrix = with_ww(150);
+  return matrix;
+}
+
+/// W/W = 300: a biased cell exceeds u8, so the screen does not apply and
+/// the batch engine must take the blocked kernel.
+const bio::SubstitutionMatrix& unscreenable_matrix() {
+  static const bio::SubstitutionMatrix matrix = with_ww(300);
   return matrix;
 }
 
@@ -66,26 +79,48 @@ TEST(BatchEngineEquality, RecordsEqualCycleExactEngine) {
   util::Xoshiro256 rng(2024);
   bio::SequenceBank bank(bio::SequenceKind::kProtein);
   bank.add(sim::generate_protein("pool", 16000, rng));
+  // A tryptophan-rich stretch: windows from it saturate screen lanes.
+  std::string w_rich;
+  for (int i = 0; i < 120; ++i) w_rich += i % 3 == 0 ? "WA" : "W";
+  bank.add(bio::Sequence::protein_from_letters("w-rich", w_rich));
   const std::size_t max_il1 = 1040;  // > 4 tiles of IL1
   index::WindowBatch il1_all(kWindow);
   for (std::uint32_t j = 0; j < max_il1; ++j) {
-    il1_all.append(bank, index::Occurrence{0, 40 + 13 * j}, kShape);
+    // Every 5th IL1 window comes from the W-rich stretch.
+    if (j % 5 == 2) {
+      il1_all.append(bank, index::Occurrence{1, 10 + (7 * j) % 100}, kShape);
+    } else {
+      il1_all.append(bank, index::Occurrence{0, 40 + 13 * j}, kShape);
+    }
   }
 
+  ASSERT_EQ(align::resolve_ungapped_kernel(align::UngappedKernel::kAuto,
+                                            wide_matrix(), 14),
+            align::UngappedKernel::kSimd);
+  ASSERT_EQ(align::resolve_ungapped_kernel(align::UngappedKernel::kAuto,
+                                            unscreenable_matrix(), 14),
+            align::UngappedKernel::kBlocked);
   bool stalled = false;
+  bool saturated = false;  // a screened record scored past the 8-bit ceiling
   for (const bio::SubstitutionMatrix* matrix :
-       {&bio::SubstitutionMatrix::blosum62(), &wide_matrix()}) {
+       {&bio::SubstitutionMatrix::blosum62(), &wide_matrix(),
+        &unscreenable_matrix()}) {
     for (const std::size_t pes : {1, 7, 64, 192}) {
       // One full round plus a partial one.
       const std::size_t k0 = pes + 3;
       index::WindowBatch il0(kWindow);
       for (std::uint32_t i = 0; i < k0; ++i) {
-        il0.append(bank, index::Occurrence{0, 47 + 11 * i}, kShape);
+        if (i % 4 == 1) {
+          il0.append(bank, index::Occurrence{1, 20 + (3 * i) % 90}, kShape);
+        } else {
+          il0.append(bank, index::Occurrence{0, 47 + 11 * i}, kShape);
+        }
       }
       for (const std::size_t slot_size : {1, 8}) {
-        for (const std::size_t k1 : {std::size_t{1}, align::kSimdMinBatch - 1,
-                                     align::kSimdMinBatch,
-                                     align::kSimdMinBatch + 1, max_il1}) {
+        for (const std::size_t k1 :
+             {std::size_t{1}, align::kSimdMinBatch - 1, align::kSimdMinBatch,
+              align::kSimdMinBatch + 1, std::size_t{31}, std::size_t{32},
+              std::size_t{33}, std::size_t{65}, max_il1}) {
           SCOPED_TRACE(matrix->name() + " pes=" + std::to_string(pes) +
                        " slot=" + std::to_string(slot_size) +
                        " il1=" + std::to_string(k1));
@@ -104,6 +139,11 @@ TEST(BatchEngineEquality, RecordsEqualCycleExactEngine) {
           exact.run_key_cycle_exact(il0, il1, exact_records);
 
           EXPECT_EQ(sorted(batch_records), sorted(exact_records));
+          if (matrix == &wide_matrix() && k1 >= align::kSimdMinBatch) {
+            for (const ResultRecord& record : batch_records) {
+              saturated = saturated || record.score > 255 - 4;
+            }
+          }
           // Batch records come in the array's completion order: round,
           // then IL1 window, then IL0 window.
           EXPECT_TRUE(std::is_sorted(
@@ -131,6 +171,7 @@ TEST(BatchEngineEquality, RecordsEqualCycleExactEngine) {
     }
   }
   EXPECT_TRUE(stalled) << "no configuration exercised the stall model";
+  EXPECT_TRUE(saturated) << "no configuration saturated a screen lane";
 }
 
 /// Random proteins plus one motif repeated with random spacers, so one
@@ -204,7 +245,8 @@ TEST(BatchEngineEquality, ThreadedDriverEqualsSequential) {
   const index::IndexTable t1(banks.bank1, model);
 
   for (const bio::SubstitutionMatrix* matrix :
-       {&bio::SubstitutionMatrix::blosum62(), &wide_matrix()}) {
+       {&bio::SubstitutionMatrix::blosum62(), &wide_matrix(),
+        &unscreenable_matrix()}) {
     for (const std::size_t pes : {7, 192}) {
       for (const std::size_t fpgas : {1, 2}) {
         for (const bool with_board : {false, true}) {

@@ -90,6 +90,76 @@ TEST(Lzss, RoundTripsRepetitiveRandomAndEmptyInputs) {
   EXPECT_LT(lzss_compress(pattern_bytes(10000)).size(), 2000u);
 }
 
+/// Bytes drawn from `alphabet` letters starting at 'A': small alphabets
+/// give long hash chains and many competing matches.
+std::vector<std::uint8_t> small_alphabet_bytes(std::size_t size,
+                                               std::uint64_t alphabet,
+                                               std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint8_t> out(size);
+  for (auto& b : out) b = static_cast<std::uint8_t>('A' + rng.bounded(alphabet));
+  return out;
+}
+
+/// `block` followed by its first `echo` bytes: the echo sits exactly
+/// block.size() bytes back, so it is matchable only within the window.
+std::vector<std::uint8_t> echoed(std::vector<std::uint8_t> block,
+                                 std::size_t echo) {
+  block.insert(block.end(), block.begin(),
+               block.begin() + static_cast<std::ptrdiff_t>(echo));
+  return block;
+}
+
+TEST(Lzss, TokenStreamMatchesGoldenDigests) {
+  // The compressor's exact output on fixed inputs, recorded before the
+  // matcher moved to a bounded link ring: speedups to the matcher must
+  // never change a single emitted byte (compressed store files stay
+  // byte-identical across builds). Inputs span long runs, chains far
+  // longer than the chain cap, inputs several windows long (the link
+  // ring wraps), and echoes at distances 65535 (the farthest legal
+  // match) and 65536 (one past it).
+  std::vector<std::uint8_t> runs(100000, 'A');
+  for (int i = 0; i < 1000; ++i) runs.push_back(static_cast<std::uint8_t>(i));
+  std::vector<std::uint8_t> proteins;
+  {
+    util::Xoshiro256 rng(41);
+    for (int i = 0; i < 400; ++i) {
+      const bio::Sequence seq = sim::generate_protein("p", 500, rng);
+      proteins.insert(proteins.end(), seq.data(), seq.data() + seq.size());
+    }
+  }
+  struct Golden {
+    const char* name;
+    std::vector<std::uint8_t> raw;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  const Golden cases[] = {
+      {"pattern", pattern_bytes(10000),
+       143, 0x237271e601d07f3aull},
+      {"runs", runs,
+       1508, 0xfae152807ce61405ull},
+      {"dna-like", small_alphabet_bytes(200000, 4, 7),
+       91325, 0x743a3ac918b4cae6ull},
+      {"proteins", proteins,
+       176281, 0x74a39b6fbe947c04ull},
+      {"random", random_bytes(150000, 9),
+       168750, 0x14ece09b94800dd4ull},
+      {"echo-65535", echoed(random_bytes(65535, 11), 300),
+       73732, 0xae5f128426ff7587ull},
+      {"echo-65536", echoed(random_bytes(65536, 12), 300),
+       74066, 0xca200c3134d72615ull},
+  };
+  for (const Golden& golden : cases) {
+    const std::vector<std::uint8_t> stream = lzss_compress(golden.raw);
+    EXPECT_EQ(stream.size(), golden.size) << golden.name;
+    EXPECT_EQ(fnv1a64(stream.data(), stream.size()), golden.digest)
+        << golden.name;
+    EXPECT_EQ(lzss_decompress(stream, golden.raw.size(), "test"), golden.raw)
+        << golden.name;
+  }
+}
+
 TEST(Lzss, RejectsStructurallyImpossibleRawSize) {
   // A raw size no stream of this length could produce is refused before
   // any allocation of that size -- the hostile-header allocation guard.

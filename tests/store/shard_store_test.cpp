@@ -153,6 +153,36 @@ TEST(ShardStore, WriteReadRoundTrip) {
   remove_store(prefix, manifest.shards.size());
 }
 
+TEST(ShardStore, ParallelBuildWritesTheSerialBuildsBytes) {
+  // Shards are written as parallel executor tasks; every file and the
+  // manifest must come out byte-for-byte as a one-thread build writes
+  // them, compressed or not.
+  const bio::SequenceBank bank = make_bank(23, 40, 90);
+  const index::SeedModel model = index::SeedModel::subset_w4();
+  for (const bool compress : {false, true}) {
+    const std::string serial = temp_path("shard_threads1");
+    const std::string parallel = temp_path("shard_threads4");
+    const ShardManifest one =
+        write_sharded_store(serial, bank, model, 400, 1, false, compress);
+    const ShardManifest four =
+        write_sharded_store(parallel, bank, model, 400, 4, false, compress);
+    ASSERT_GE(one.shards.size(), 4u);
+    ASSERT_EQ(one.shards.size(), four.shards.size());
+    EXPECT_EQ(slurp(manifest_path(serial)), slurp(manifest_path(parallel)));
+    for (std::size_t i = 0; i < one.shards.size(); ++i) {
+      for (const char* extension : {".pscbank", ".pscidx"}) {
+        const std::vector<char> expected =
+            slurp(shard_prefix(serial, i) + extension);
+        ASSERT_FALSE(expected.empty());
+        EXPECT_EQ(expected, slurp(shard_prefix(parallel, i) + extension))
+            << "shard " << i << extension << " compress=" << compress;
+      }
+    }
+    remove_store(serial, one.shards.size());
+    remove_store(parallel, four.shards.size());
+  }
+}
+
 TEST(ShardStore, EmptyBankWritesOneEmptyShard) {
   const bio::SequenceBank empty(bio::SequenceKind::kProtein);
   const index::SeedModel model = index::SeedModel::subset_w4();
