@@ -363,7 +363,6 @@ int main() {
     if (k == 2 && !has_avx2) break;
     core::PipelineOptions options;
     options.backend = core::Step2Backend::kHostParallel;
-    options.overlap_steps23 = true;
     options.with_traceback = true;
     options.step3_kernel = selections[k];
     util::Timer timer;

@@ -71,14 +71,14 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
 
 echo "== sanitizers: step-3 kernel equality focused run under ASan =="
 # Redundant with the suite runs above on purpose: the bit-identity
-# property (every kernel tier x worker count x barrier/overlap path)
-# must stay memory-checked even if the suites above are reshuffled.
+# property (every kernel tier x worker count) must stay memory-checked
+# even if the suites above are reshuffled.
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/align_test --gtest_filter='GappedSimd.*'
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/core_test --gtest_filter='Step3Kernels.*'
 
-echo "== sanitizers: executor/overlap/rasc/store/service/cluster tests under TSan =="
+echo "== sanitizers: executor/pipeline/rasc/store/service/cluster tests under TSan =="
 # rasc_test: the RASC driver simulates key chunks on executor workers
 # beside a BoardCache shared by the FPGA tasks. store_test: the sharded
 # store writes its shards as executor tasks.
@@ -92,7 +92,7 @@ TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
   ctest --test-dir build-tsan --output-on-failure \
   -R '^(util|core|rasc|store|service|cluster)_test$'
 
-echo "== sanitizers: step-3 kernel equality (incl. overlap path) under TSan =="
+echo "== sanitizers: step-3 kernel equality (parallel steps 2 and 3) under TSan =="
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
   ./build-tsan/tests/core_test --gtest_filter='Step3Kernels.*'
 

@@ -32,9 +32,6 @@ void add_pipeline_options(util::ArgParser& args,
                   "rasc | host | host-sequential | host-parallel");
   args.add_option("step2-kernel", step2_kernel_name(defaults.step2_kernel),
                   "host ungapped kernel: auto | scalar | blocked | simd");
-  args.add_option("step2-schedule",
-                  step2_schedule_name(defaults.step2_schedule),
-                  "host chunking policy: static | cost-aware");
   args.add_option("step3-kernel", step3_kernel_name(defaults.step3_kernel),
                   "gapped-extension kernel: auto | scalar | portable | avx2");
   add_threads_option(args,
@@ -67,13 +64,6 @@ bool parse_pipeline_options(const util::ArgParser& args,
   } catch (const std::invalid_argument&) {
     std::fprintf(stderr, "unknown step2 kernel '%s'\n",
                  args.get("step2-kernel").c_str());
-    return false;
-  }
-  try {
-    options.step2_schedule = parse_step2_schedule(args.get("step2-schedule"));
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "unknown step2 schedule '%s'\n",
-                 args.get("step2-schedule").c_str());
     return false;
   }
   try {

@@ -18,8 +18,8 @@
 namespace psc::core {
 
 /// Registers the pipeline-execution flags --backend, --step2-kernel,
-/// --step2-schedule, --step3-kernel, --threads, --pes, --fpgas, --evalue and
-/// --composition, with defaults read from `defaults`.
+/// --step3-kernel, --threads, --pes, --fpgas, --evalue and --composition,
+/// with defaults read from `defaults`.
 void add_pipeline_options(util::ArgParser& args,
                           const PipelineOptions& defaults);
 

@@ -2,15 +2,11 @@
 
 #include <stdexcept>
 
-#include "util/executor.hpp"
-
 namespace psc::core {
 
 void PipelineOptions::set_threads(std::size_t threads) {
   host_threads = threads;
-  // step3_threads uses 0 and 1 both to mean "sequential", so the
-  // hardware-concurrency convention of 0 must not leak through here.
-  step3_threads = threads == 0 ? util::default_thread_count() : threads;
+  step3_threads = threads;
 }
 
 void PipelineOptions::validate() const {
@@ -97,21 +93,6 @@ align::GappedKernel parse_step3_kernel(const std::string& name) {
   throw std::invalid_argument(
       "parse_step3_kernel: expected auto|scalar|portable|avx2, got '" + name +
       "'");
-}
-
-std::string step2_schedule_name(Step2Schedule schedule) {
-  switch (schedule) {
-    case Step2Schedule::kStatic: return "static";
-    case Step2Schedule::kCostAware: return "cost-aware";
-  }
-  return "unknown";
-}
-
-Step2Schedule parse_step2_schedule(const std::string& name) {
-  if (name == "static") return Step2Schedule::kStatic;
-  if (name == "cost-aware") return Step2Schedule::kCostAware;
-  throw std::invalid_argument(
-      "parse_step2_schedule: expected static|cost-aware, got '" + name + "'");
 }
 
 }  // namespace psc::core

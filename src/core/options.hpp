@@ -27,12 +27,6 @@ enum class Step2Backend {
   kRasc,            ///< deported to the simulated RASC-100 accelerator
 };
 
-/// How the host backends carve the seed-key space into parallel chunks.
-enum class Step2Schedule {
-  kStatic,     ///< equal key *counts* per chunk (the historical split)
-  kCostAware,  ///< equal estimated *work* per chunk: sum of |IL0k|*|IL1k|
-};
-
 /// Which seed model indexes the banks.
 enum class SeedModelKind {
   kSubsetW4,        ///< the paper's subset seed (section 4.4)
@@ -53,18 +47,10 @@ struct PipelineOptions {
   Step2Backend backend = Step2Backend::kHostSequential;
   std::size_t host_threads = 0;  ///< 0 = hardware concurrency
 
-  /// Chunking policy for the parallel host backends. Per-key cost is
-  /// |IL0k|x|IL1k| and wildly skewed, so equal key counts leave one
-  /// mega-bucket serializing the tail; cost-aware is the default.
-  Step2Schedule step2_schedule = Step2Schedule::kCostAware;
-
-  /// Overlap step 3 (gapped extension) with step 2 (ungapped scoring)
-  /// when the backend is kHostParallel: finished hit batches flow
-  /// through a bounded channel and extension starts while scoring is
-  /// still in flight. Output stays bit-identical to the sequential
-  /// path. Ignored (barrier semantics) when fewer than 2 workers
-  /// resolve.
-  bool overlap_steps23 = true;
+  /// Ignored: steps 2 and 3 always run with a barrier between them.
+  /// Kept only because the benchmark's reference options still assign
+  /// it; delete it once they stop.
+  bool overlap_steps23 = false;
 
   /// Optional shared executor for the parallel host/index/FPGA paths.
   /// nullptr = use the process-wide util::Executor::shared(). A
@@ -79,7 +65,8 @@ struct PipelineOptions {
 
   /// Worker threads for step 3 (gapped extension); Table 7 shows step 3
   /// dominating the accelerated pipeline, and the paper's conclusion
-  /// points at multicore hosts. 0 or 1 = sequential.
+  /// points at multicore hosts. 1 = sequential, 0 = hardware
+  /// concurrency (the same convention as host_threads).
   std::size_t step3_threads = 1;
 
   /// Accelerator settings (used when backend == kRasc). The psc window
@@ -111,8 +98,8 @@ struct PipelineOptions {
   bool composition_based_stats = false;
 
   /// One knob for both compute stages: sets host_threads and
-  /// step3_threads (step 3 otherwise defaults to 1 and silently runs
-  /// serial). 0 = hardware concurrency for both.
+  /// step3_threads to `threads` (step 3 otherwise defaults to 1 and
+  /// silently runs serial). 0 = hardware concurrency for both.
   void set_threads(std::size_t threads);
 
   void validate() const;
@@ -148,12 +135,5 @@ std::string step3_kernel_name(align::GappedKernel kernel);
 /// Parses a --step3-kernel value; throws std::invalid_argument on an
 /// unknown name.
 align::GappedKernel parse_step3_kernel(const std::string& name);
-
-/// Human-readable schedule name ("static", "cost-aware").
-std::string step2_schedule_name(Step2Schedule schedule);
-
-/// Parses a --step2-schedule value; throws std::invalid_argument on an
-/// unknown name.
-Step2Schedule parse_step2_schedule(const std::string& name);
 
 }  // namespace psc::core

@@ -4,10 +4,8 @@
 
 #include "bio/translate.hpp"
 #include "core/step1_index.hpp"
-#include "core/step23_overlap.hpp"
 #include "core/step2_host.hpp"
 #include "core/step3_gapped.hpp"
-#include "util/executor.hpp"
 #include "util/timer.hpp"
 
 namespace psc::core {
@@ -41,7 +39,7 @@ std::vector<align::SeedPairHit> run_step2_backend(
       HostStep2Result step2 = run_step2_host_parallel(
           bank0, table0, bank1, table1, matrix, options.shape,
           options.ungapped_threshold, options.host_threads,
-          options.step2_kernel, options.step2_schedule, options.executor);
+          options.step2_kernel, options.executor);
       result.counters.step2_pairs = step2.pairs;
       result.counters.step2_cells = step2.cells;
       result.step2_engine = step2_kernel_name(step2.kernel);
@@ -75,41 +73,14 @@ std::vector<align::SeedPairHit> run_step2_backend(
   return hits;
 }
 
-/// Steps 2+3 over prebuilt tables: either the overlapped driver (host
-/// parallel backend with >= 2 workers and overlap enabled) or the
-/// classic barrier sequence. Both fill the same result fields and
-/// produce bit-identical matches.
+/// Steps 2+3 over prebuilt tables, with a barrier between them: the
+/// whole step-2 hit set first, then step 3 over it, for every backend.
 void run_steps23(const bio::SequenceBank& bank0,
                  const index::IndexTable& table0,
                  const bio::SequenceBank& bank1,
                  const index::IndexTable& table1,
                  const bio::SubstitutionMatrix& matrix,
                  const PipelineOptions& options, PipelineResult& result) {
-  const std::size_t workers = options.host_threads == 0
-                                  ? util::default_thread_count()
-                                  : options.host_threads;
-  const bool overlap = options.backend == Step2Backend::kHostParallel &&
-                       options.overlap_steps23 && workers > 1;
-  if (overlap) {
-    OverlapOutcome outcome = run_steps23_overlapped(
-        bank0, table0, bank1, table1, matrix, options, workers);
-    result.counters.step2_pairs = outcome.pairs;
-    result.counters.step2_cells = outcome.cells;
-    result.counters.step2_hits = outcome.hits;
-    result.counters.step3_extensions = outcome.extensions;
-    result.counters.step3_eager_extensions = outcome.eager_extensions;
-    result.step2_engine = step2_kernel_name(outcome.kernel);
-    result.step3_engine = step3_kernel_name(outcome.gapped_kernel);
-    result.step2_wall_seconds = outcome.step2_seconds;
-    result.times.step2_ungapped = outcome.step2_seconds;
-    // The extension tail past step 2 plus the deterministic replay; the
-    // extensions running *under* step 2 are the overlap's payoff and by
-    // construction don't show up as step-3 wall.
-    result.times.step3_gapped = outcome.total_seconds - outcome.step2_seconds;
-    result.matches = std::move(outcome.matches);
-    return;
-  }
-
   std::vector<align::SeedPairHit> hits = run_step2_backend(
       bank0, table0, bank1, table1, matrix, options, result);
   util::Timer step3_timer;
@@ -138,7 +109,7 @@ PipelineResult run_pipeline(const bio::SequenceBank& bank0,
   result.counters.bank0_occurrences = step1.table0.total_occurrences();
   result.counters.bank1_occurrences = step1.table1.total_occurrences();
 
-  // ---- steps 2 + 3 (overlapped when the backend allows) ------------------
+  // ---- steps 2 + 3 ---------------------------------------------------------
   run_steps23(bank0, step1.table0, bank1, step1.table1, matrix, options,
               result);
   return result;
@@ -165,7 +136,7 @@ PipelineResult run_pipeline_with_index(const bio::SequenceBank& bank0,
   result.counters.bank0_occurrences = table0.total_occurrences();
   result.counters.bank1_occurrences = table1.total_occurrences();
 
-  // ---- steps 2 + 3 (overlapped when the backend allows) ------------------
+  // ---- steps 2 + 3 ---------------------------------------------------------
   run_steps23(bank0, table0, bank1, table1, matrix, options, result);
   return result;
 }

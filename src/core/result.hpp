@@ -29,9 +29,9 @@ struct PipelineCounters {
   std::uint64_t step2_cells = 0;        ///< substitution cells evaluated
   std::uint64_t step2_hits = 0;         ///< pairs reaching the threshold
   std::uint64_t step3_extensions = 0;   ///< gapped extensions performed
-  /// Extensions actually computed, including the overlapped pipeline's
-  /// eager ones whose seed a later coverage decision would have
-  /// skipped; equals step3_extensions on the barrier paths.
+  /// Always equal to step3_extensions since steps 2 and 3 run with a
+  /// barrier on every backend; kept because the benchmark and the shard
+  /// merge still read it.
   std::uint64_t step3_eager_extensions = 0;
 };
 

@@ -15,6 +15,11 @@ namespace {
 /// committing meaningful memory (a hit is a few dozen bytes).
 constexpr std::size_t kStep2PartialReserve = 256;
 
+/// Cost-aware chunks per worker: fine enough that workers claiming
+/// chunks dynamically smooth residual skew, coarse enough that the
+/// per-chunk hit vectors stay few.
+constexpr std::size_t kStep2ChunksPerWorker = 8;
+
 /// Per-worker kernel state: window batches, the hit finder (which owns
 /// the resolved kernel's rows, striped image and score buffer) and the
 /// hit buffer. One instance is owned by each engine thread and threaded
@@ -84,8 +89,8 @@ std::uint64_t process_key_range(const bio::SequenceBank& bank0,
   return pairs;
 }
 
-}  // namespace
-
+/// Normalizes hit order (sort by sequence pair, then offsets, then
+/// score) so the parallel engines' output is independent of scheduling.
 void normalize_step2_hits(std::vector<align::SeedPairHit>& hits) {
   std::sort(hits.begin(), hits.end(), [](const align::SeedPairHit& a,
                                          const align::SeedPairHit& b) {
@@ -100,6 +105,60 @@ void normalize_step2_hits(std::vector<align::SeedPairHit>& hits) {
     return a.score < b.score;
   });
 }
+
+/// Scores the keys of `chunks` (ranges over the indices that `key_at`
+/// maps to seed keys) on up to `workers` executor tasks. Each task owns
+/// one Step2Scratch and claims chunks until none is left, so kernel
+/// state is built once per worker rather than once per chunk; each
+/// chunk keeps its own hit vector, which bounds the over-allocation of
+/// vector growth to a chunk's share of the hits. Hits come back
+/// normalized.
+template <typename KeyAt>
+HostStep2Result score_chunks(
+    const bio::SequenceBank& bank0, const index::IndexTable& table0,
+    const bio::SequenceBank& bank1, const index::IndexTable& table1,
+    const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
+    int threshold, align::UngappedKernel kernel,
+    const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
+    std::size_t workers, util::Executor* executor, KeyAt key_at) {
+  HostStep2Result out;
+  out.kernel = align::resolve_ungapped_kernel(kernel, matrix, threshold);
+  std::vector<std::vector<align::SeedPairHit>> partial(chunks.size());
+  std::atomic<std::size_t> next_chunk{0};
+  std::atomic<std::uint64_t> total_pairs{0};
+  util::Executor& exec = executor ? *executor : util::Executor::shared();
+  util::Executor::TaskGroup group(exec, workers);
+  for (std::size_t t = 0; t < std::min(workers, chunks.size()); ++t) {
+    group.run([&] {
+      Step2Scratch scratch(shape.length(), matrix, threshold, out.kernel);
+      std::uint64_t pairs = 0;
+      for (std::size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
+           c < chunks.size();
+           c = next_chunk.fetch_add(1, std::memory_order_relaxed)) {
+        partial[c].reserve(kStep2PartialReserve);
+        for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
+          pairs += process_key(bank0, table0, bank1, table1, shape,
+                               key_at(i), scratch, partial[c]);
+        }
+      }
+      total_pairs.fetch_add(pairs, std::memory_order_relaxed);
+    });
+  }
+  group.wait();
+
+  out.pairs = total_pairs.load();
+  out.cells = out.pairs * shape.length();
+  std::size_t total_hits = 0;
+  for (const auto& p : partial) total_hits += p.size();
+  out.hits.reserve(total_hits);
+  for (const auto& p : partial) {
+    out.hits.insert(out.hits.end(), p.begin(), p.end());
+  }
+  normalize_step2_hits(out.hits);
+  return out;
+}
+
+}  // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     const index::IndexTable& table0, const index::IndexTable& table1,
@@ -144,53 +203,15 @@ HostStep2Result run_step2_host_keys(
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
     int threshold, std::span<const index::SeedKey> keys, std::size_t threads,
-    align::UngappedKernel kernel, Step2Schedule schedule,
-    util::Executor* executor) {
-  HostStep2Result out;
-  out.kernel = align::resolve_ungapped_kernel(kernel, matrix, threshold);
-  if (keys.empty()) return out;
+    align::UngappedKernel kernel, util::Executor* executor) {
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
-  if (workers <= 1) {
-    Step2Scratch scratch(shape.length(), matrix, threshold, out.kernel);
-    for (const index::SeedKey key : keys) {
-      out.pairs += process_key(bank0, table0, bank1, table1, shape, key,
-                               scratch, out.hits);
-    }
-    out.cells = out.pairs * shape.length();
-    normalize_step2_hits(out.hits);
-    return out;
-  }
-
-  const auto chunks =
-      schedule == Step2Schedule::kCostAware
-          ? cost_aware_key_chunks(table0, table1, keys,
-                                  workers * kStep2ChunksPerWorker)
-          : util::blocks(0, keys.size(), workers);
-  util::Executor& exec = executor ? *executor : util::Executor::shared();
-  util::Executor::TaskGroup group(exec, workers);
-  std::vector<HostStep2Result> partial(chunks.size());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    group.run([&, c, kernel_used = out.kernel] {
-      Step2Scratch scratch(shape.length(), matrix, threshold, kernel_used);
-      partial[c].hits.reserve(kStep2PartialReserve);
-      for (std::size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-        partial[c].pairs += process_key(bank0, table0, bank1, table1, shape,
-                                        keys[i], scratch, partial[c].hits);
-      }
-    });
-  }
-  group.wait();
-  std::size_t total_hits = 0;
-  for (const auto& p : partial) total_hits += p.hits.size();
-  out.hits.reserve(total_hits);
-  for (auto& p : partial) {
-    out.pairs += p.pairs;
-    out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-  }
-  out.cells = out.pairs * shape.length();
-  normalize_step2_hits(out.hits);
-  return out;
+  return score_chunks(bank0, table0, bank1, table1, matrix, shape, threshold,
+                      kernel,
+                      cost_aware_key_chunks(table0, table1, keys,
+                                            workers * kStep2ChunksPerWorker),
+                      workers, executor,
+                      [keys](std::size_t i) { return keys[i]; });
 }
 
 HostStep2Result run_step2_host_parallel(
@@ -198,87 +219,16 @@ HostStep2Result run_step2_host_parallel(
     const bio::SequenceBank& bank1, const index::IndexTable& table1,
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
     int threshold, std::size_t threads, align::UngappedKernel kernel,
-    Step2Schedule schedule, util::Executor* executor) {
-  const align::UngappedKernel kernel_used =
-      align::resolve_ungapped_kernel(kernel, matrix, threshold);
+    util::Executor* executor) {
   const std::size_t workers =
       threads == 0 ? util::default_thread_count() : threads;
-  const auto chunks =
-      schedule == Step2Schedule::kCostAware
-          ? cost_aware_key_chunks(table0, table1,
-                                  workers * kStep2ChunksPerWorker)
-          : util::blocks(0, table0.key_space(), workers);
-
-  util::Executor& exec = executor ? *executor : util::Executor::shared();
-  util::Executor::TaskGroup group(exec, workers);
-  std::vector<HostStep2Result> partial(chunks.size());
-  std::atomic<std::uint64_t> total_pairs{0};
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    group.run([&, c] {
-      Step2Scratch scratch(shape.length(), matrix, threshold, kernel_used);
-      partial[c].hits.reserve(kStep2PartialReserve);
-      partial[c].pairs = process_key_range(
-          bank0, table0, bank1, table1, shape, chunks[c].first,
-          chunks[c].second, scratch, partial[c].hits);
-      total_pairs.fetch_add(partial[c].pairs, std::memory_order_relaxed);
-    });
-  }
-  group.wait();
-
-  HostStep2Result out;
-  out.kernel = kernel_used;
-  out.pairs = total_pairs.load();
-  out.cells = out.pairs * shape.length();
-  std::size_t total_hits = 0;
-  for (const auto& p : partial) total_hits += p.hits.size();
-  out.hits.reserve(total_hits);
-  for (auto& p : partial) {
-    out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-  }
-  normalize_step2_hits(out.hits);
-  return out;
-}
-
-struct Step2KeyScorer::Impl {
-  const bio::SequenceBank& bank0;
-  const index::IndexTable& table0;
-  const bio::SequenceBank& bank1;
-  const index::IndexTable& table1;
-  index::WindowShape shape;
-  Step2Scratch scratch;
-
-  Impl(const bio::SequenceBank& b0, const index::IndexTable& t0,
-       const bio::SequenceBank& b1, const index::IndexTable& t1,
-       const bio::SubstitutionMatrix& m, const index::WindowShape& s,
-       int threshold_in, align::UngappedKernel k)
-      : bank0(b0),
-        table0(t0),
-        bank1(b1),
-        table1(t1),
-        shape(s),
-        scratch(s.length(), m, threshold_in, k) {}
-};
-
-Step2KeyScorer::Step2KeyScorer(
-    const bio::SequenceBank& bank0, const index::IndexTable& table0,
-    const bio::SequenceBank& bank1, const index::IndexTable& table1,
-    const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
-    int threshold, align::UngappedKernel kernel)
-    : impl_(std::make_unique<Impl>(bank0, table0, bank1, table1, matrix,
-                                   shape, threshold, kernel)) {}
-
-Step2KeyScorer::~Step2KeyScorer() = default;
-
-align::UngappedKernel Step2KeyScorer::kernel() const {
-  return impl_->scratch.finder.kernel();
-}
-
-std::uint64_t Step2KeyScorer::score_range(
-    std::size_t first_key, std::size_t last_key,
-    std::vector<align::SeedPairHit>& hits) {
-  return process_key_range(impl_->bank0, impl_->table0, impl_->bank1,
-                           impl_->table1, impl_->shape, first_key, last_key,
-                           impl_->scratch, hits);
+  return score_chunks(bank0, table0, bank1, table1, matrix, shape, threshold,
+                      kernel,
+                      cost_aware_key_chunks(table0, table1,
+                                            workers * kStep2ChunksPerWorker),
+                      workers, executor, [](std::size_t k) {
+                        return static_cast<index::SeedKey>(k);
+                      });
 }
 
 }  // namespace psc::core

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -26,11 +25,6 @@ class Executor;
 }  // namespace psc::util
 
 namespace psc::core {
-
-/// Cost-aware chunks per worker: fine enough that the TaskGroup's
-/// dynamic dispatch smooths residual skew, coarse enough that per-chunk
-/// scratch setup stays noise.
-inline constexpr std::size_t kStep2ChunksPerWorker = 8;
 
 /// Greedy contiguous partition of the whole key space into at most
 /// `parts` chunks of approximately equal estimated work, where a key's
@@ -75,7 +69,6 @@ HostStep2Result run_step2_host_parallel(
     const bio::SubstitutionMatrix& matrix, const index::WindowShape& shape,
     int threshold, std::size_t threads,
     align::UngappedKernel kernel = align::UngappedKernel::kAuto,
-    Step2Schedule schedule = Step2Schedule::kCostAware,
     util::Executor* executor = nullptr);
 
 /// Processes only the given seed keys (used by the host/FPGA dispatch
@@ -87,41 +80,6 @@ HostStep2Result run_step2_host_keys(
     int threshold, std::span<const index::SeedKey> keys,
     std::size_t threads = 1,
     align::UngappedKernel kernel = align::UngappedKernel::kAuto,
-    Step2Schedule schedule = Step2Schedule::kCostAware,
     util::Executor* executor = nullptr);
-
-/// Normalizes hit order (sort by sequence pair, then offsets, then
-/// score) -- what the parallel engines apply before returning, exposed
-/// so other drivers can produce the identical ordering.
-void normalize_step2_hits(std::vector<align::SeedPairHit>& hits);
-
-/// Reusable single-thread scorer: wraps kernel resolution and per-thread
-/// scratch so the overlapped step2/step3 driver can score arbitrary key
-/// ranges between extension bursts without re-allocating kernel state.
-class Step2KeyScorer {
- public:
-  Step2KeyScorer(const bio::SequenceBank& bank0,
-                 const index::IndexTable& table0,
-                 const bio::SequenceBank& bank1,
-                 const index::IndexTable& table1,
-                 const bio::SubstitutionMatrix& matrix,
-                 const index::WindowShape& shape, int threshold,
-                 align::UngappedKernel kernel);
-  ~Step2KeyScorer();
-  Step2KeyScorer(const Step2KeyScorer&) = delete;
-  Step2KeyScorer& operator=(const Step2KeyScorer&) = delete;
-
-  /// The resolved kernel this scorer runs.
-  align::UngappedKernel kernel() const;
-
-  /// Scores keys [first_key, last_key), appending hits in key order;
-  /// returns the number of window pairs scored.
-  std::uint64_t score_range(std::size_t first_key, std::size_t last_key,
-                            std::vector<align::SeedPairHit>& hits);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace psc::core

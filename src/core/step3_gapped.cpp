@@ -1,11 +1,23 @@
 #include "core/step3_gapped.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <span>
+#include <unordered_map>
+#include <utility>
 
+#include "align/karlin.hpp"
 #include "util/executor.hpp"
 
 namespace psc::core {
 
+namespace {
+
+/// Total order over hits: sequence pair, then step-2 score (best
+/// first), then seed offsets. The extension order within a
+/// sequence-pair group decides which seeds coverage suppression skips,
+/// and a total order makes the sorted sequence -- hence the step-3
+/// result -- independent of the input permutation.
 bool step3_hit_order(const align::SeedPairHit& a,
                      const align::SeedPairHit& b) {
   if (a.bank0.sequence != b.bank0.sequence) {
@@ -22,10 +34,8 @@ bool step3_hit_order(const align::SeedPairHit& a,
   return a.bank1.offset < b.bank1.offset;
 }
 
-void sort_hits_for_step3(std::vector<align::SeedPairHit>& hits) {
-  std::sort(hits.begin(), hits.end(), step3_hit_order);
-}
-
+/// Half-open [begin, end) ranges of equal (bank0, bank1) sequence
+/// pairs; `hits` must already be sorted with step3_hit_order.
 std::vector<std::pair<std::size_t, std::size_t>> pair_group_ranges(
     std::span<const align::SeedPairHit> hits) {
   std::vector<std::pair<std::size_t, std::size_t>> groups;
@@ -42,40 +52,18 @@ std::vector<std::pair<std::size_t, std::size_t>> pair_group_ranges(
   return groups;
 }
 
-align::Alignment extend_seed_hit(const bio::SequenceBank& bank0,
-                                 const bio::SequenceBank& bank1,
-                                 const align::SeedPairHit& hit,
-                                 const bio::SubstitutionMatrix& matrix,
-                                 const PipelineOptions& options) {
-  const bio::Sequence& s0 = bank0[hit.bank0.sequence];
-  const bio::Sequence& s1 = bank1[hit.bank1.sequence];
-  return align::xdrop_gapped_extend(
-      {s0.data(), s0.size()}, {s1.data(), s1.size()}, hit.bank0.offset,
-      hit.bank1.offset, options.shape.seed_width, matrix, options.gap,
-      options.with_traceback);
-}
-
-align::Alignment extend_seed_hit(const bio::SequenceBank& bank0,
-                                 const bio::SequenceBank& bank1,
-                                 const align::SeedPairHit& hit,
-                                 const align::GappedExtender& extender,
-                                 const PipelineOptions& options) {
-  const bio::Sequence& s0 = bank0[hit.bank0.sequence];
-  const bio::Sequence& s1 = bank1[hit.bank1.sequence];
-  return extender.extend({s0.data(), s0.size()}, {s1.data(), s1.size()},
-                         hit.bank0.offset, hit.bank1.offset,
-                         options.shape.seed_width, options.with_traceback);
-}
-
+/// Extends one sequence-pair group with coverage suppression: once an
+/// accepted alignment covers a later seed, that seed is skipped. Appends
+/// accepted matches to `out`; returns the extensions run.
 std::uint64_t extend_pair_group(
-    const bio::SequenceBank& bank0, std::span<const align::SeedPairHit> group,
-    const std::function<align::Alignment(std::size_t)>& aligner,
-    const PipelineOptions& options, const align::KarlinParams& stats,
-    double total_bank1_residues, std::vector<Match>& out) {
+    const bio::SequenceBank& bank0, const bio::SequenceBank& bank1,
+    std::span<const align::SeedPairHit> group,
+    const align::GappedExtender& extender, const PipelineOptions& options,
+    const align::KarlinParams& stats, double total_bank1_residues,
+    std::vector<Match>& out) {
   std::uint64_t extensions = 0;
   std::vector<Match> accepted;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const align::SeedPairHit& hit = group[i];
+  for (const align::SeedPairHit& hit : group) {
     const bool covered = std::any_of(
         accepted.begin(), accepted.end(), [&](const Match& m) {
           return hit.bank0.offset >= m.alignment.begin0 &&
@@ -86,9 +74,12 @@ std::uint64_t extend_pair_group(
     if (covered) continue;
 
     ++extensions;
-    align::Alignment alignment = aligner(i);
-
     const bio::Sequence& s0 = bank0[hit.bank0.sequence];
+    const bio::Sequence& s1 = bank1[hit.bank1.sequence];
+    align::Alignment alignment = extender.extend(
+        {s0.data(), s0.size()}, {s1.data(), s1.size()}, hit.bank0.offset,
+        hit.bank1.offset, options.shape.seed_width, options.with_traceback);
+
     const double e =
         align::e_value(alignment.score, static_cast<double>(s0.size()),
                        total_bank1_residues, stats);
@@ -107,17 +98,38 @@ std::uint64_t extend_pair_group(
   return extensions;
 }
 
-const align::KarlinParams& Step3StatsCache::for_query(std::uint32_t query) {
-  if (!options_.composition_based_stats) return options_.stats;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = adjusted_.find(query);
-  if (it != adjusted_.end()) return it->second;
-  const bio::Sequence& s0 = bank0_[query];
-  return adjusted_
-      .emplace(query, align::composition_adjusted({s0.data(), s0.size()},
-                                                  matrix_, options_.stats))
-      .first->second;
-}
+/// Per-query Karlin statistics with thread-safe lazy computation of the
+/// composition-adjusted parameters (plain options.stats when
+/// composition_based_stats is off). References stay valid for the
+/// cache's lifetime (node-based map).
+class Step3StatsCache {
+ public:
+  Step3StatsCache(const bio::SequenceBank& bank0,
+                  const bio::SubstitutionMatrix& matrix,
+                  const PipelineOptions& options)
+      : bank0_(bank0), matrix_(matrix), options_(options) {}
+
+  const align::KarlinParams& for_query(std::uint32_t query) {
+    if (!options_.composition_based_stats) return options_.stats;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = adjusted_.find(query);
+    if (it != adjusted_.end()) return it->second;
+    const bio::Sequence& s0 = bank0_[query];
+    return adjusted_
+        .emplace(query, align::composition_adjusted({s0.data(), s0.size()},
+                                                    matrix_, options_.stats))
+        .first->second;
+  }
+
+ private:
+  const bio::SequenceBank& bank0_;
+  const bio::SubstitutionMatrix& matrix_;
+  const PipelineOptions& options_;
+  std::mutex mutex_;
+  std::unordered_map<std::uint32_t, align::KarlinParams> adjusted_;
+};
+
+}  // namespace
 
 Step3Result run_step3(const bio::SequenceBank& bank0,
                       const bio::SequenceBank& bank1,
@@ -130,7 +142,7 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
   out.kernel = extender.kernel();
   if (hits.empty()) return out;
 
-  sort_hits_for_step3(hits);
+  std::sort(hits.begin(), hits.end(), step3_hit_order);
 
   const double total_bank1_residues =
       options.search_space_residues > 0.0
@@ -142,15 +154,10 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
   const auto run_group = [&](const std::pair<std::size_t, std::size_t>& range,
                              std::vector<Match>& matches) {
     const auto [begin, end] = range;
-    const std::span<const align::SeedPairHit> group{hits.data() + begin,
-                                                    end - begin};
     return extend_pair_group(
-        bank0, group,
-        [&](std::size_t i) {
-          return extend_seed_hit(bank0, bank1, group[i], extender, options);
-        },
-        options, stats.for_query(hits[begin].bank0.sequence),
-        total_bank1_residues, matches);
+        bank0, bank1, {hits.data() + begin, end - begin}, extender, options,
+        stats.for_query(hits[begin].bank0.sequence), total_bank1_residues,
+        matches);
   };
 
   const std::size_t workers =

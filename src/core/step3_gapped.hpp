@@ -5,17 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "align/gapped.hpp"
 #include "align/gapped_simd.hpp"
 #include "align/hit.hpp"
-#include "align/karlin.hpp"
 #include "bio/substitution_matrix.hpp"
 #include "core/options.hpp"
 #include "core/result.hpp"
@@ -33,82 +26,13 @@ struct Step3Result {
 /// Extends every hit whose seed is not already covered by an accepted
 /// alignment of the same sequence pair, filters at options.e_value_cutoff
 /// and finalizes the match list. Parallel over sequence-pair groups when
-/// options.step3_threads > 1 (on options.executor, or the shared
-/// executor); the result is identical to the sequential walk either way.
+/// options.step3_threads is not 1 (0 = hardware concurrency; on
+/// options.executor, or the shared executor); the result is identical
+/// to the sequential walk either way.
 Step3Result run_step3(const bio::SequenceBank& bank0,
                       const bio::SequenceBank& bank1,
                       std::vector<align::SeedPairHit> hits,
                       const bio::SubstitutionMatrix& matrix,
                       const PipelineOptions& options);
-
-// --- Building blocks, shared with the overlapped step2/step3 driver ---
-// The extension order within a sequence-pair group decides which seeds
-// coverage suppression skips, so every path that wants bit-identical
-// output must sort with the same *total* order and walk groups the same
-// way. These pieces are exactly that walk, factored out.
-
-/// Total order over hits: sequence pair, then step-2 score (best
-/// first), then seed offsets. Total means the sorted sequence -- hence
-/// the step-3 result -- is independent of the input permutation.
-bool step3_hit_order(const align::SeedPairHit& a, const align::SeedPairHit& b);
-
-/// Sorts hits with step3_hit_order.
-void sort_hits_for_step3(std::vector<align::SeedPairHit>& hits);
-
-/// Half-open [begin, end) ranges of equal (bank0, bank1) sequence
-/// pairs; `hits` must already be sorted with step3_hit_order.
-std::vector<std::pair<std::size_t, std::size_t>> pair_group_ranges(
-    std::span<const align::SeedPairHit> hits);
-
-/// The gapped extension of one seed hit: a pure function of the banks,
-/// the hit and the options -- safe to run eagerly, from any thread, in
-/// any order.
-align::Alignment extend_seed_hit(const bio::SequenceBank& bank0,
-                                 const bio::SequenceBank& bank1,
-                                 const align::SeedPairHit& hit,
-                                 const bio::SubstitutionMatrix& matrix,
-                                 const PipelineOptions& options);
-
-/// Same extension through a prebuilt extender (one kernel resolution +
-/// matrix repack per run instead of per hit); the extender must have
-/// been built from the same matrix and options.gap.
-align::Alignment extend_seed_hit(const bio::SequenceBank& bank0,
-                                 const bio::SequenceBank& bank1,
-                                 const align::SeedPairHit& hit,
-                                 const align::GappedExtender& extender,
-                                 const PipelineOptions& options);
-
-/// Extends one sequence-pair group with coverage suppression: once an
-/// accepted alignment covers a later seed, that seed is skipped.
-/// `aligner(i)` supplies the alignment for group[i] (either computing
-/// it, or replaying a precomputed one); the return value counts aligner
-/// calls, which equals the extensions the sequential path would run.
-/// Appends accepted matches to `out`.
-std::uint64_t extend_pair_group(
-    const bio::SequenceBank& bank0, std::span<const align::SeedPairHit> group,
-    const std::function<align::Alignment(std::size_t)>& aligner,
-    const PipelineOptions& options, const align::KarlinParams& stats,
-    double total_bank1_residues, std::vector<Match>& out);
-
-/// Per-query Karlin statistics with thread-safe lazy computation of the
-/// composition-adjusted parameters (plain options.stats when
-/// composition_based_stats is off). References stay valid for the
-/// cache's lifetime (node-based map).
-class Step3StatsCache {
- public:
-  Step3StatsCache(const bio::SequenceBank& bank0,
-                  const bio::SubstitutionMatrix& matrix,
-                  const PipelineOptions& options)
-      : bank0_(bank0), matrix_(matrix), options_(options) {}
-
-  const align::KarlinParams& for_query(std::uint32_t query);
-
- private:
-  const bio::SequenceBank& bank0_;
-  const bio::SubstitutionMatrix& matrix_;
-  const PipelineOptions& options_;
-  std::mutex mutex_;
-  std::unordered_map<std::uint32_t, align::KarlinParams> adjusted_;
-};
 
 }  // namespace psc::core

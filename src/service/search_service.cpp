@@ -12,6 +12,7 @@ namespace psc::service {
 core::PipelineOptions default_service_options() {
   core::PipelineOptions options;
   options.backend = core::Step2Backend::kHostParallel;
+  options.set_threads(0);
   return options;
 }
 

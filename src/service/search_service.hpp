@@ -50,8 +50,9 @@
 
 namespace psc::service {
 
-/// Pipeline options tuned for service use: multicore step 2 by default
-/// (the reference bank is large; queries are small).
+/// Pipeline options tuned for service use: multicore steps 2 and 3 on
+/// all cores by default (the reference bank is large; queries are
+/// small), matching psc_serve's --threads=0 default.
 core::PipelineOptions default_service_options();
 
 struct ServiceConfig {
@@ -218,7 +219,7 @@ class SearchService : public SearchBackend {
   rasc::BoardCache board_cache_{2};
 
   /// Service-lifetime work-stealing pool: every pipeline pass (parallel
-  /// step 2, overlapped step 3, parallel index builds) schedules here
+  /// step 2, parallel step 3, parallel index builds) schedules here
   /// instead of spawning threads per batch. Declared before worker_ and
   /// joined after it (members destroy in reverse order), so no pass can
   /// outlive the pool.

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/temp_dir.hpp"
+
 namespace psc::bio {
 namespace {
 
@@ -147,7 +149,7 @@ TEST(Fasta, FileRoundTrip) {
   bank.add(Sequence::protein_from_letters("p1", "MKVLARNDCQ"));
   bank.add(Sequence::protein_from_letters("p2", "WYVHGAST"));
   const std::string path =
-      ::testing::TempDir() + "/psc_fasta_roundtrip_test.fa";
+      psc::test::temp_dir() + "/psc_fasta_roundtrip_test.fa";
   write_fasta_file(path, bank);
   const SequenceBank loaded = read_fasta_file(path, SequenceKind::kProtein);
   ASSERT_EQ(loaded.size(), 2u);

@@ -36,6 +36,7 @@
 #include "store/bank_store.hpp"
 #include "store/index_store.hpp"
 #include "store/shard_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::cluster {
@@ -73,7 +74,7 @@ struct ClusterWorkload {
     genome_bank = bio::frames_to_bank(bio::translate_six_frames(genome));
 
     const index::SeedModel model = index::SeedModel::subset_w4();
-    prefix = ::testing::TempDir() + "/" + name;
+    prefix = psc::test::temp_dir() + "/" + name;
     plain_prefix = prefix + "_plain";
     const index::IndexTable table(genome_bank, model);
     const std::uint64_t checksum =
@@ -134,7 +135,7 @@ struct Replica {
   Replica(const std::string& bank_name,
           const std::vector<std::size_t>& shards) {
     net::ServerConfig config;
-    config.bank_root = ::testing::TempDir();
+    config.bank_root = psc::test::temp_dir();
     for (const std::size_t shard : shards) {
       config.allowed_prefixes.push_back(store::shard_prefix(bank_name, shard));
     }
@@ -615,7 +616,7 @@ TEST(RouterTest, RefreshAdoptsAppendedTailThroughAllClaims) {
   for (const bio::Sequence& s : workload.genome_bank) combined.add(s);
   for (const bio::Sequence& s : delta) combined.add(s);
   const std::string combined_prefix =
-      ::testing::TempDir() + "/cluster_refresh_combined";
+      psc::test::temp_dir() + "/cluster_refresh_combined";
   const index::IndexTable combined_table(combined, model);
   const std::uint64_t combined_checksum =
       store::save_bank(combined_prefix + ".pscbank", combined);

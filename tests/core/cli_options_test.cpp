@@ -48,18 +48,14 @@ TEST(CliOptions, ParsesEveryBackendSpelling) {
   EXPECT_FALSE(parse_with({"--backend=gpu"}, options));
 }
 
-TEST(CliOptions, ParsesKernelScheduleAndThreads) {
+TEST(CliOptions, ParsesKernelAndThreads) {
   PipelineOptions options;
-  ASSERT_TRUE(parse_with({"--step2-kernel=scalar", "--step2-schedule=static",
-                          "--threads=3"},
-                         options));
+  ASSERT_TRUE(parse_with({"--step2-kernel=scalar", "--threads=3"}, options));
   EXPECT_EQ(options.step2_kernel, align::UngappedKernel::kScalar);
-  EXPECT_EQ(options.step2_schedule, Step2Schedule::kStatic);
   EXPECT_EQ(options.host_threads, 3u);
   EXPECT_EQ(options.step3_threads, 3u);
 
   EXPECT_FALSE(parse_with({"--step2-kernel=fpga"}, options));
-  EXPECT_FALSE(parse_with({"--step2-schedule=greedy"}, options));
   EXPECT_FALSE(parse_with({"--threads=-1"}, options));
 }
 

@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "util/executor.hpp"
-
 namespace psc::core {
 namespace {
 
@@ -65,21 +63,13 @@ TEST(PipelineOptions, SetThreadsMapsBothStages) {
 }
 
 TEST(PipelineOptions, SetThreadsZeroMeansAllCores) {
-  // step3_threads treats 0 and 1 both as "sequential", so "all cores"
-  // must be resolved eagerly for step 3; host_threads resolves 0 itself.
+  // Both stages share one convention: 0 is hardware concurrency, which
+  // each stage resolves when it runs; 1 is sequential.
   PipelineOptions options;
   options.set_threads(0);
   EXPECT_EQ(options.host_threads, 0u);
-  EXPECT_EQ(options.step3_threads, util::default_thread_count());
+  EXPECT_EQ(options.step3_threads, 0u);
   EXPECT_NO_THROW(options.validate());
-}
-
-TEST(Step2ScheduleNames, RoundTrip) {
-  EXPECT_EQ(step2_schedule_name(Step2Schedule::kStatic), "static");
-  EXPECT_EQ(step2_schedule_name(Step2Schedule::kCostAware), "cost-aware");
-  EXPECT_EQ(parse_step2_schedule("static"), Step2Schedule::kStatic);
-  EXPECT_EQ(parse_step2_schedule("cost-aware"), Step2Schedule::kCostAware);
-  EXPECT_THROW(parse_step2_schedule("fifo"), std::invalid_argument);
 }
 
 }  // namespace

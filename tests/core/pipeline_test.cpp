@@ -86,10 +86,29 @@ TEST(Pipeline, HostParallelMatchesSequential) {
   ASSERT_EQ(a.matches.size(), b.matches.size());
   EXPECT_EQ(a.counters.step2_pairs, b.counters.step2_pairs);
   EXPECT_EQ(a.counters.step2_hits, b.counters.step2_hits);
+  EXPECT_EQ(a.counters.step3_extensions, b.counters.step3_extensions);
+  EXPECT_EQ(b.counters.step3_eager_extensions, b.counters.step3_extensions);
   for (std::size_t i = 0; i < a.matches.size(); ++i) {
     EXPECT_EQ(a.matches[i].bank0_sequence, b.matches[i].bank0_sequence);
     EXPECT_EQ(a.matches[i].alignment.score, b.matches[i].alignment.score);
   }
+}
+
+TEST(Pipeline, HostParallelWithNoHitsYieldsNothing) {
+  // Nothing reaches the threshold: step 2 scores pairs but emits no
+  // hit, and step 3 must finish cleanly with zero work.
+  const TestBanks banks(12, 3, 10000);
+  PipelineOptions options;
+  options.backend = Step2Backend::kHostParallel;
+  options.set_threads(4);
+  options.ungapped_threshold = 1000;  // unreachable
+  const PipelineResult result =
+      run_pipeline_genome(banks.proteins, banks.genome, options);
+  EXPECT_GT(result.counters.step2_pairs, 0u);
+  EXPECT_EQ(result.counters.step2_hits, 0u);
+  EXPECT_EQ(result.counters.step3_extensions, 0u);
+  EXPECT_EQ(result.counters.step3_eager_extensions, 0u);
+  EXPECT_TRUE(result.matches.empty());
 }
 
 TEST(Pipeline, RascBackendMatchesHostMatches) {
@@ -111,9 +130,11 @@ TEST(Pipeline, RascBackendMatchesHostMatches) {
     EXPECT_EQ(a.matches[i].bank1_sequence, b.matches[i].bank1_sequence);
     EXPECT_EQ(a.matches[i].alignment.score, b.matches[i].alignment.score);
   }
-  // Step-2 counters agree too.
+  // Step-2 and step-3 counters agree too.
   EXPECT_EQ(a.counters.step2_pairs, b.counters.step2_pairs);
   EXPECT_EQ(a.counters.step2_hits, b.counters.step2_hits);
+  EXPECT_EQ(a.counters.step3_extensions, b.counters.step3_extensions);
+  EXPECT_EQ(b.counters.step3_eager_extensions, b.counters.step3_extensions);
   // RASC populates accelerator reporting.
   EXPECT_EQ(b.fpga_reports.size(), 1u);
   EXPECT_GT(b.operator_stats.cycles_total(), 0u);

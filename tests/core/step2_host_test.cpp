@@ -216,22 +216,6 @@ TEST(HostStep2, EmptyTablesFallBackToStaticChunks) {
   EXPECT_EQ(chunks.back().second, t_empty.key_space());
 }
 
-TEST(HostStep2, SchedulesProduceIdenticalHits) {
-  const TestBanks banks(8);
-  const index::IndexTable t0(banks.bank0, banks.model);
-  const index::IndexTable t1(banks.bank1, banks.model);
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  const HostStep2Result fixed = run_step2_host_parallel(
-      banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, 3,
-      align::UngappedKernel::kAuto, Step2Schedule::kStatic);
-  const HostStep2Result balanced = run_step2_host_parallel(
-      banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, 3,
-      align::UngappedKernel::kAuto, Step2Schedule::kCostAware);
-  EXPECT_EQ(fixed.hits, balanced.hits);  // both normalized
-  EXPECT_EQ(fixed.pairs, balanced.pairs);
-  EXPECT_EQ(fixed.cells, balanced.cells);
-}
-
 TEST(HostStep2, RunsOnPrivateExecutor) {
   const TestBanks banks(9);
   const index::IndexTable t0(banks.bank0, banks.model);
@@ -242,8 +226,34 @@ TEST(HostStep2, RunsOnPrivateExecutor) {
   util::Executor executor(2);
   const HostStep2Result result = run_step2_host_parallel(
       banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, 2,
-      align::UngappedKernel::kAuto, Step2Schedule::kCostAware, &executor);
+      align::UngappedKernel::kAuto, &executor);
   EXPECT_EQ(sorted(result.hits), sorted(reference.hits));
+}
+
+TEST(HostStep2, KeySubsetEngineMatchesFullKeySpace) {
+  const TestBanks banks(10);
+  const index::IndexTable t0(banks.bank0, banks.model);
+  const index::IndexTable t1(banks.bank1, banks.model);
+  const auto& m = bio::SubstitutionMatrix::blosum62();
+  const HostStep2Result reference =
+      run_step2_host(banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26);
+  ASSERT_FALSE(reference.hits.empty());
+  std::vector<index::SeedKey> keys(t0.key_space());
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    keys[k] = static_cast<index::SeedKey>(k);
+  }
+  // From one worker to more than the executor has threads: every chunk
+  // is claimed exactly once.
+  for (const std::size_t threads : {1u, 3u, 64u}) {
+    const HostStep2Result result = run_step2_host_keys(
+        banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, keys, threads);
+    EXPECT_EQ(result.pairs, reference.pairs) << threads;
+    EXPECT_EQ(sorted(result.hits), sorted(reference.hits)) << threads;
+  }
+  const HostStep2Result none = run_step2_host_keys(
+      banks.bank0, t0, banks.bank1, t1, m, banks.shape, 26, {}, 3);
+  EXPECT_TRUE(none.hits.empty());
+  EXPECT_EQ(none.pairs, 0u);
 }
 
 }  // namespace

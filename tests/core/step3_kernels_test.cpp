@@ -1,8 +1,7 @@
-// The ISSUE's bit-identity property at pipeline level: for every
-// --step3-kernel, every tested worker count, and both the barrier and
-// the overlapped step-2/3 paths, the pipeline output -- scores,
-// tracebacks, E-values, and step-3 counters -- is bit-identical to the
-// scalar sequential reference.
+// The bit-identity property at pipeline level: for every --step3-kernel
+// and every tested worker count of the host-parallel backend, the
+// pipeline output -- scores, tracebacks, E-values, and step-2/3
+// counters -- is bit-identical to the scalar sequential reference.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,7 +57,7 @@ void expect_identical(const std::vector<Match>& a, const std::vector<Match>& b,
   }
 }
 
-TEST(Step3Kernels, AllKernelsWorkersAndPathsMatchScalarSequential) {
+TEST(Step3Kernels, AllKernelsAndWorkersMatchScalarSequential) {
   const TestBanks banks(21);
   PipelineOptions reference;
   reference.backend = Step2Backend::kHostSequential;
@@ -68,6 +67,8 @@ TEST(Step3Kernels, AllKernelsWorkersAndPathsMatchScalarSequential) {
       run_pipeline_genome(banks.proteins, banks.genome, reference);
   ASSERT_FALSE(ref.matches.empty());
   EXPECT_EQ(ref.step3_engine, "scalar");
+  EXPECT_EQ(ref.counters.step3_eager_extensions,
+            ref.counters.step3_extensions);
 
   const std::size_t hardware = std::thread::hardware_concurrency() == 0
                                    ? 1
@@ -77,33 +78,36 @@ TEST(Step3Kernels, AllKernelsWorkersAndPathsMatchScalarSequential) {
         align::GappedKernel::kAuto}) {
     for (const std::size_t threads :
          std::vector<std::size_t>{1, 2, 7, hardware}) {
-      for (const bool overlap : {false, true}) {
-        PipelineOptions options;
-        options.backend = Step2Backend::kHostParallel;
-        options.step3_kernel = kernel;
-        options.with_traceback = true;
-        options.host_threads = threads;
-        options.step3_threads = threads;
-        options.overlap_steps23 = overlap;
-        const PipelineResult result =
-            run_pipeline_genome(banks.proteins, banks.genome, options);
-        const std::string label =
-            std::string("kernel=") + align::gapped_kernel_name(kernel) +
-            " threads=" + std::to_string(threads) +
-            " overlap=" + std::to_string(overlap);
-        expect_identical(ref.matches, result.matches, label);
-        EXPECT_EQ(result.counters.step2_hits, ref.counters.step2_hits)
-            << label;
-        EXPECT_EQ(result.counters.step3_extensions,
-                  ref.counters.step3_extensions)
-            << label;
-        // The resolved engine is reported, never the raw request.
-        EXPECT_NE(result.step3_engine, "auto") << label;
-        EXPECT_FALSE(result.step3_engine.empty()) << label;
-        if (kernel == align::GappedKernel::kAvx2 &&
-            align::gapped_avx2_available()) {
-          EXPECT_EQ(result.step3_engine, "avx2") << label;
-        }
+      PipelineOptions options;
+      options.backend = Step2Backend::kHostParallel;
+      options.step3_kernel = kernel;
+      options.with_traceback = true;
+      options.host_threads = threads;
+      options.step3_threads = threads;
+      const PipelineResult result =
+          run_pipeline_genome(banks.proteins, banks.genome, options);
+      const std::string label =
+          std::string("kernel=") + align::gapped_kernel_name(kernel) +
+          " threads=" + std::to_string(threads);
+      expect_identical(ref.matches, result.matches, label);
+      EXPECT_EQ(result.counters.step2_pairs, ref.counters.step2_pairs)
+          << label;
+      EXPECT_EQ(result.counters.step2_hits, ref.counters.step2_hits)
+          << label;
+      EXPECT_EQ(result.counters.step3_extensions,
+                ref.counters.step3_extensions)
+          << label;
+      // Steps 2 and 3 run with a barrier: every extension counted is one
+      // the walk ran.
+      EXPECT_EQ(result.counters.step3_eager_extensions,
+                result.counters.step3_extensions)
+          << label;
+      // The resolved engine is reported, never the raw request.
+      EXPECT_NE(result.step3_engine, "auto") << label;
+      EXPECT_FALSE(result.step3_engine.empty()) << label;
+      if (kernel == align::GappedKernel::kAvx2 &&
+          align::gapped_avx2_available()) {
+        EXPECT_EQ(result.step3_engine, "avx2") << label;
       }
     }
   }
@@ -128,7 +132,6 @@ TEST(Step3Kernels, CompositionStatsAndEValuePathsMatch) {
     options.step3_kernel = kernel;
     options.host_threads = 3;
     options.step3_threads = 3;
-    options.overlap_steps23 = true;
     const PipelineResult result =
         run_pipeline_genome(banks.proteins, banks.genome, options);
     expect_identical(ref.matches, result.matches,

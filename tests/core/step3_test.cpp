@@ -139,20 +139,23 @@ TEST(Step3, ParallelMatchesSequential) {
 
   PipelineOptions sequential;
   sequential.step3_threads = 1;
-  PipelineOptions parallel;
-  parallel.step3_threads = 4;
   const Step3Result a = run_step3(bank0, bank1, hits,
                                   bio::SubstitutionMatrix::blosum62(),
                                   sequential);
-  const Step3Result b = run_step3(bank0, bank1, hits,
-                                  bio::SubstitutionMatrix::blosum62(),
-                                  parallel);
-  EXPECT_EQ(a.extensions, b.extensions);
-  ASSERT_EQ(a.matches.size(), b.matches.size());
-  for (std::size_t i = 0; i < a.matches.size(); ++i) {
-    EXPECT_EQ(a.matches[i].bank0_sequence, b.matches[i].bank0_sequence);
-    EXPECT_EQ(a.matches[i].alignment.score, b.matches[i].alignment.score);
-    EXPECT_DOUBLE_EQ(a.matches[i].e_value, b.matches[i].e_value);
+  // 0 is hardware concurrency, as for host_threads -- not sequential.
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    PipelineOptions parallel;
+    parallel.step3_threads = threads;
+    const Step3Result b = run_step3(bank0, bank1, hits,
+                                    bio::SubstitutionMatrix::blosum62(),
+                                    parallel);
+    EXPECT_EQ(a.extensions, b.extensions) << threads;
+    ASSERT_EQ(a.matches.size(), b.matches.size()) << threads;
+    for (std::size_t i = 0; i < a.matches.size(); ++i) {
+      EXPECT_EQ(a.matches[i].bank0_sequence, b.matches[i].bank0_sequence);
+      EXPECT_EQ(a.matches[i].alignment.score, b.matches[i].alignment.score);
+      EXPECT_DOUBLE_EQ(a.matches[i].e_value, b.matches[i].e_value);
+    }
   }
 }
 

@@ -35,6 +35,7 @@
 #include "store/bank_store.hpp"
 #include "store/index_store.hpp"
 #include "store/shard_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::net {
@@ -67,7 +68,7 @@ struct SavedBank {
                     9001, false, rng);
     genome_bank = bio::frames_to_bank(bio::translate_six_frames(genome));
 
-    prefix = ::testing::TempDir() + "/" + name;
+    prefix = psc::test::temp_dir() + "/" + name;
     const index::SeedModel model = index::SeedModel::subset_w4();
     const index::IndexTable table(genome_bank, model);
     store::save_bank(prefix + ".pscbank", genome_bank);
@@ -158,7 +159,7 @@ class LoopbackTest : public ::testing::Test {
  protected:
   void start(ServerConfig config = {},
              service::ServiceConfig service_config = {}) {
-    config.bank_root = ::testing::TempDir();
+    config.bank_root = psc::test::temp_dir();
     service_ = std::make_unique<service::SearchService>(service_config);
     server_ = std::make_unique<Server>(*service_, config);
     server_->start();
@@ -273,7 +274,7 @@ TEST_F(LoopbackTest, RefreshManifestAdoptsAppendedGenerationInPlace) {
   // SAME server answers over the extended generation -- no restart.
   const SavedBank saved(27, "net_refresh_seed");
   const std::string name = "net_refresh";
-  const std::string prefix = ::testing::TempDir() + "/" + name;
+  const std::string prefix = psc::test::temp_dir() + "/" + name;
   const index::SeedModel model = index::SeedModel::subset_w4();
   store::write_sharded_store(prefix, saved.genome_bank, model, 800);
   start();

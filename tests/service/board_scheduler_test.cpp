@@ -22,6 +22,7 @@
 #include "sim/protein_generator.hpp"
 #include "store/bank_store.hpp"
 #include "store/index_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::service {
@@ -213,7 +214,7 @@ struct SavedBank {
     const bio::SequenceBank genome_bank =
         bio::frames_to_bank(bio::translate_six_frames(genome));
 
-    prefix = ::testing::TempDir() + "/" + name;
+    prefix = psc::test::temp_dir() + "/" + name;
     const index::SeedModel model = index::SeedModel::subset_w4();
     store::save_bank(prefix + ".pscbank", genome_bank);
     store::save_index(prefix + ".pscidx", index::IndexTable(genome_bank, model),

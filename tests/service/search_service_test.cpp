@@ -17,6 +17,7 @@
 #include "store/bank_store.hpp"
 #include "store/format.hpp"
 #include "store/index_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::service {
@@ -48,7 +49,7 @@ struct SavedBank {
                     9001, false, rng);
     genome_bank = bio::frames_to_bank(bio::translate_six_frames(genome));
 
-    prefix = ::testing::TempDir() + "/" + name;
+    prefix = psc::test::temp_dir() + "/" + name;
     const index::SeedModel model = index::SeedModel::subset_w4();
     const index::IndexTable table(genome_bank, model);
     store::save_bank(prefix + ".pscbank", genome_bank);
@@ -67,6 +68,15 @@ struct SavedBank {
     return bank;
   }
 };
+
+TEST(SearchService, DefaultOptionsRunBothStagesOnAllCores) {
+  // Step 3 defaults to one thread in PipelineOptions; the service must
+  // not inherit that, or every pass extends its hits serially.
+  const core::PipelineOptions options = default_service_options();
+  EXPECT_EQ(options.backend, core::Step2Backend::kHostParallel);
+  EXPECT_EQ(options.host_threads, 0u);
+  EXPECT_EQ(options.step3_threads, 0u);
+}
 
 TEST(SearchService, MatchesDirectPipelineRun) {
   const SavedBank saved(1, "svc_direct");

@@ -17,6 +17,7 @@
 #include "store/format.hpp"
 #include "store/index_store.hpp"
 #include "store/shard_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::service {
@@ -52,7 +53,7 @@ struct ShardedWorkload {
     genome_bank = bio::frames_to_bank(bio::translate_six_frames(genome));
 
     const index::SeedModel model = index::SeedModel::subset_w4();
-    plain_prefix = ::testing::TempDir() + "/" + name;
+    plain_prefix = psc::test::temp_dir() + "/" + name;
     const index::IndexTable table(genome_bank, model);
     const std::uint64_t checksum =
         store::save_bank(plain_prefix + ".pscbank", genome_bank);
@@ -289,7 +290,7 @@ TEST(ShardService, RefreshAdoptsAppendedGenerationByteIdentically) {
   bio::SequenceBank combined(bio::SequenceKind::kProtein);
   for (const bio::Sequence& s : workload.genome_bank) combined.add(s);
   for (const bio::Sequence& s : delta) combined.add(s);
-  const std::string rebuilt = ::testing::TempDir() + "/shardq_refresh_rebuilt";
+  const std::string rebuilt = psc::test::temp_dir() + "/shardq_refresh_rebuilt";
   const store::ShardManifest rebuilt_manifest =
       store::write_sharded_store(rebuilt, combined, model, 800);
   const QueryResult reference =
@@ -431,7 +432,7 @@ TEST(ShardService, CompressedStoreAnswersByteIdentically) {
   // and the v6 gauge reports the resident compressed shards.
   const ShardedWorkload workload(55, "shardq_cmp", {800});
   const index::SeedModel model = index::SeedModel::subset_w4();
-  const std::string packed = ::testing::TempDir() + "/shardq_cmp_packed";
+  const std::string packed = psc::test::temp_dir() + "/shardq_cmp_packed";
   const store::ShardManifest packed_manifest = store::write_sharded_store(
       packed, workload.genome_bank, model, 800, /*threads=*/0,
       /*serial_index=*/false, /*compress=*/true);

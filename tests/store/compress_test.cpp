@@ -20,13 +20,14 @@
 #include "store/format.hpp"
 #include "store/index_store.hpp"
 #include "store/mmap_file.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::store {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return psc::test::temp_dir() + "/" + name;
 }
 
 bio::SequenceBank make_bank(std::uint64_t seed, int count, int length) {

@@ -17,6 +17,7 @@
 #include "store/bank_store.hpp"
 #include "store/format.hpp"
 #include "store/index_store.hpp"
+#include "support/temp_dir.hpp"
 #include "util/rng.hpp"
 
 namespace psc::store {
@@ -47,7 +48,7 @@ struct Workload {
 };
 
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return psc::test::temp_dir() + "/" + name;
 }
 
 std::vector<char> slurp(const std::string& path) {
