@@ -160,7 +160,7 @@ int main() {
 
   // Single-protein query banks from the paper workload's smallest bank.
   std::vector<bio::SequenceBank> queries;
-  for (const bio::Sequence& sequence : workload.banks.front().proteins) {
+  for (const bio::SequenceView sequence : workload.banks.front().proteins) {
     bio::SequenceBank one(bio::SequenceKind::kProtein);
     one.add(sequence);
     queries.push_back(std::move(one));

@@ -35,7 +35,7 @@ using namespace psc;
 std::uint64_t cap_for_shards(const bio::SequenceBank& bank,
                              std::size_t target) {
   std::uint64_t total = 0;
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     total += 2 * sizeof(std::uint32_t) + sequence.id().size() + sequence.size();
   }
   return std::max<std::uint64_t>(1, total / target);

@@ -292,8 +292,8 @@ void run_step2_kernel_shootout() {
   });
 
   // Staging: what the engines do once per key and list before any kernel
-  // runs -- extract a 100-occurrence list and stripe it. Rated in staged
-  // residues per second.
+  // runs -- list a 100-occurrence key's window views and stripe them from
+  // the arena. Rated in staged residues per second.
   constexpr std::size_t kStagedWindows = 100;
   std::vector<index::Occurrence> list;
   for (std::uint32_t i = 0; i < kStagedWindows; ++i) {
@@ -325,8 +325,7 @@ void run_step2_kernel_shootout() {
   std::vector<Crossover> crossover;
   for (const std::size_t il0 : crossover_il0) {
     for (const std::size_t il1 : crossover_il1) {
-      index::WindowBatch part(length);
-      part.assign(batch, 0, il1);
+      const index::WindowSpan part = batch.subspan(0, il1);
       const std::size_t key_cells = il0 * il1 * length;
       Crossover row{il0, il1};
       row.blocked_s = static_cast<double>(key_cells) /

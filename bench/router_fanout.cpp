@@ -37,7 +37,7 @@ using namespace psc;
 std::vector<std::string> split_query_fastas(const bio::SequenceBank& bank) {
   std::vector<std::string> fastas;
   fastas.reserve(bank.size());
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     std::ostringstream out;
     out << ">" << sequence.id() << "\n" << sequence.to_letters() << "\n";
     fastas.push_back(out.str());
@@ -49,7 +49,7 @@ std::vector<std::string> split_query_fastas(const bio::SequenceBank& bank) {
 std::uint64_t cap_for_shards(const bio::SequenceBank& bank,
                              std::size_t target) {
   std::uint64_t total = 0;
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     total += 2 * sizeof(std::uint32_t) + sequence.id().size() + sequence.size();
   }
   return std::max<std::uint64_t>(1, total / target);

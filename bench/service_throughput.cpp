@@ -44,7 +44,7 @@ double best_of(int reps, Fn&& fn) {
 std::vector<bio::SequenceBank> split_queries(const bio::SequenceBank& bank) {
   std::vector<bio::SequenceBank> queries;
   queries.reserve(bank.size());
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     bio::SequenceBank one(bio::SequenceKind::kProtein);
     one.add(sequence);
     queries.push_back(std::move(one));

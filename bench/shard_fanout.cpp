@@ -34,7 +34,7 @@ using namespace psc;
 std::vector<bio::SequenceBank> split_queries(const bio::SequenceBank& bank) {
   std::vector<bio::SequenceBank> queries;
   queries.reserve(bank.size());
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     bio::SequenceBank one(bio::SequenceKind::kProtein);
     one.add(sequence);
     queries.push_back(std::move(one));
@@ -46,7 +46,7 @@ std::vector<bio::SequenceBank> split_queries(const bio::SequenceBank& bank) {
 std::uint64_t cap_for_shards(const bio::SequenceBank& bank,
                              std::size_t target) {
   std::uint64_t total = 0;
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     total += 2 * sizeof(std::uint32_t) + sequence.id().size() + sequence.size();
   }
   return std::max<std::uint64_t>(1, total / target);

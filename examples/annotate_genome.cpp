@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "genome FASTA is empty\n");
       return 1;
     }
-    genome = genomes[0];
+    genome = bio::Sequence(genomes[0]);
   }
 
   // Translate with coordinate mapping so hits can be located on the genome.

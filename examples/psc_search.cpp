@@ -37,10 +37,12 @@ void print_pairwise(const std::vector<core::Match>& matches,
                     const bio::SequenceBank& bank0,
                     const bio::SequenceBank& bank1) {
   for (const core::Match& match : matches) {
-    const bio::Sequence& s0 = bank0[match.bank0_sequence];
-    const bio::Sequence& s1 = bank1[match.bank1_sequence];
-    std::printf("> %s x %s  score=%d bits=%.1f E=%.2g\n", s0.id().c_str(),
-                s1.id().c_str(), match.alignment.score, match.bit_score,
+    const bio::SequenceView s0 = bank0[match.bank0_sequence];
+    const bio::SequenceView s1 = bank1[match.bank1_sequence];
+    std::printf("> %.*s x %.*s  score=%d bits=%.1f E=%.2g\n",
+                static_cast<int>(s0.id().size()), s0.id().data(),
+                static_cast<int>(s1.id().size()), s1.id().data(),
+                match.alignment.score, match.bit_score,
                 match.e_value);
     if (!match.alignment.ops.empty()) {
       const auto rows =
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
       // subject ids; stitch the shards back into one bank in base order.
       bio::SequenceBank subject(set.shards.front()->bank.kind());
       for (const auto& shard : set.shards) {
-        for (const bio::Sequence& sequence : shard->bank) {
+        for (const bio::SequenceView sequence : shard->bank) {
           subject.add(sequence);
         }
       }
@@ -218,7 +220,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "empty query FASTA\n");
         return 1;
       }
-      query_dna = bank[0];
+      query_dna = bio::Sequence(bank[0]);
     } else {
       query_proteins =
           bio::read_fasta_file(args.get("query"), bio::SequenceKind::kProtein);
@@ -230,7 +232,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "empty subject FASTA\n");
         return 1;
       }
-      subject_dna = bank[0];
+      subject_dna = bio::Sequence(bank[0]);
     } else {
       subject_proteins = bio::read_fasta_file(args.get("subject"),
                                               bio::SequenceKind::kProtein);

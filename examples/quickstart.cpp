@@ -49,10 +49,12 @@ int main() {
               result.matches.size());
 
   for (const core::Match& match : result.matches) {
-    const bio::Sequence& s0 = bank0[match.bank0_sequence];
-    const bio::Sequence& s1 = bank1[match.bank1_sequence];
-    std::printf("%s x %s  score=%d  bits=%.1f  E=%.2g\n", s0.id().c_str(),
-                s1.id().c_str(), match.alignment.score, match.bit_score,
+    const bio::SequenceView s0 = bank0[match.bank0_sequence];
+    const bio::SequenceView s1 = bank1[match.bank1_sequence];
+    std::printf("%.*s x %.*s  score=%d  bits=%.1f  E=%.2g\n",
+                static_cast<int>(s0.id().size()), s0.id().data(),
+                static_cast<int>(s1.id().size()), s1.id().data(),
+                match.alignment.score, match.bit_score,
                 match.e_value);
     const auto rows = match.alignment.render(
         {s0.data(), s0.size()}, {s1.data(), s1.size()});

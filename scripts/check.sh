@@ -3,7 +3,8 @@
 # integration check (psc_serve/psc_client round-trip), then rebuild the
 # align kernels plus the store/service/net layers under ASan/UBSan
 # (PSC_ENABLE_SANITIZERS) and rerun their tests, so the SIMD kernel's
-# lane loads/stores, the step-2 window staging copies, the mmap-backed
+# lane loads/stores, the step-2 windows read in place from the banks'
+# padded arenas, the mmap-backed
 # index views (including the
 # corrupted-file rejection paths), and the wire-frame parsers (including
 # the malformed-frame rejection paths) are memory-checked.
@@ -16,7 +17,10 @@ jobs=${1:-$(nproc)}
 echo "== tier 1: build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
-ctest --test-dir build --output-on-failure -j "$jobs"
+# The log keeps every case's output: an intermittent failure names its
+# case even after the console scrolls past it.
+ctest --test-dir build --output-on-failure --output-log build/ctest-tier1.log \
+  -j "$jobs"
 
 echo "== tier 1: step-3 kernel shoot-out bench builds =="
 cmake --build build -j "$jobs" --target step3_kernels
@@ -59,10 +63,11 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/service_test --gtest_filter='BoardScheduler.*'
 
-echo "== sanitizers: step-2 window staging focused run under ASan =="
-# The memcpy window copy and the blocked striped transpose resolve their
-# bounds once per window/block; keep every edge case memory-checked even
-# if the suite regexes above are reshuffled.
+echo "== sanitizers: step-2 windows read in place, focused run under ASan =="
+# Windows are pointers into the banks' padded arenas and the striped
+# transpose gathers them by pointer; keep the arena edges (first and last
+# residue of the first and last sequence, an empty sequence, flank = pad)
+# memory-checked even if the suite regexes above are reshuffled.
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/index_test --gtest_filter='WindowBatch.*:ExtractWindows.*'
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \

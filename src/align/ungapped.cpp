@@ -21,7 +21,7 @@ int ungapped_window_score(std::span<const std::uint8_t> s0,
 }
 
 void ungapped_score_one_vs_many(std::span<const std::uint8_t> s0,
-                                const index::WindowBatch& batch,
+                                index::WindowSpan batch,
                                 const bio::SubstitutionMatrix& matrix,
                                 std::vector<int>& scores) {
   if (s0.size() != batch.window_length()) {
@@ -34,7 +34,7 @@ void ungapped_score_one_vs_many(std::span<const std::uint8_t> s0,
 }
 
 void ungapped_score_one_vs_many_blocked(std::span<const std::uint8_t> s0,
-                                        const index::WindowBatch& batch,
+                                        index::WindowSpan batch,
                                         const bio::SubstitutionMatrix& matrix,
                                         std::vector<int>& scores) {
   if (s0.size() != batch.window_length()) {

@@ -32,7 +32,7 @@ int ungapped_window_score(std::span<const std::uint8_t> s0,
 /// window against every window of an IL1 batch. Scores are appended to
 /// `scores` (resized to batch.size()).
 void ungapped_score_one_vs_many(std::span<const std::uint8_t> s0,
-                                const index::WindowBatch& batch,
+                                index::WindowSpan batch,
                                 const bio::SubstitutionMatrix& matrix,
                                 std::vector<int>& scores);
 
@@ -44,38 +44,8 @@ void ungapped_score_one_vs_many(std::span<const std::uint8_t> s0,
 /// the matrix directly, so residues must be encoder codes
 /// (< bio::kProteinAlphabetSize), as every extracted window's are.
 void ungapped_score_one_vs_many_blocked(std::span<const std::uint8_t> s0,
-                                        const index::WindowBatch& batch,
+                                        index::WindowSpan batch,
                                         const bio::SubstitutionMatrix& matrix,
                                         std::vector<int>& scores);
-
-/// All-pairs form used by the host step-2 backends: every IL0 window
-/// against every IL1 window; `emit(i0, i1, score)` is called for each pair
-/// whose score is >= threshold. Kept in one translation unit so the
-/// compiler can keep the substitution row in cache across the inner loop.
-template <typename Emit>
-void ungapped_score_all_pairs(const index::WindowBatch& batch0,
-                              const index::WindowBatch& batch1,
-                              const bio::SubstitutionMatrix& matrix,
-                              int threshold, Emit&& emit) {
-  const std::size_t len = batch0.window_length();
-  // Window residues come from the encoder (always < 24), so raw matrix
-  // indexing is safe and keeps this inner loop -- 97% of the software
-  // pipeline's time -- branch-light.
-  const auto* cells = matrix.cells().data();
-  for (std::size_t i0 = 0; i0 < batch0.size(); ++i0) {
-    const std::uint8_t* a = batch0.window(i0).data();
-    for (std::size_t i1 = 0; i1 < batch1.size(); ++i1) {
-      const std::uint8_t* b = batch1.window(i1).data();
-      int score = 0;
-      int best = 0;
-      for (std::size_t k = 0; k < len; ++k) {
-        score += cells[a[k] * bio::kProteinAlphabetSize + b[k]];
-        if (score < 0) score = 0;
-        if (score > best) best = score;
-      }
-      if (best >= threshold) emit(i0, i1, best);
-    }
-  }
-}
 
 }  // namespace psc::align

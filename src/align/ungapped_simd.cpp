@@ -118,7 +118,7 @@ void ungapped_screen_rows_vs_striped(std::span<const std::uint8_t> window0,
 void ungapped_hits_rows_vs_striped(std::span<const std::uint8_t> window0,
                                    const SubstitutionRows& rows,
                                    const index::StripedWindows& striped,
-                                   const index::WindowBatch& batch,
+                                   index::WindowSpan batch,
                                    const bio::SubstitutionMatrix& matrix,
                                    int threshold,
                                    std::vector<WindowScore>& hits) {
@@ -146,8 +146,8 @@ UngappedHitFinder::UngappedHitFinder(UngappedKernel requested,
   if (kernel_ == UngappedKernel::kSimd) rows_.emplace(matrix);
 }
 
-void UngappedHitFinder::assign(const index::WindowBatch& batch) {
-  batch_ = &batch;
+void UngappedHitFinder::assign(index::WindowSpan batch) {
+  batch_ = batch;
   striped_batch_ =
       kernel_ == UngappedKernel::kSimd && batch.size() >= kSimdMinBatch;
   if (striped_batch_) striped_.assign(batch);
@@ -156,14 +156,14 @@ void UngappedHitFinder::assign(const index::WindowBatch& batch) {
 void UngappedHitFinder::hits(std::span<const std::uint8_t> window0,
                              std::vector<WindowScore>& hits) {
   if (striped_batch_) {
-    ungapped_hits_rows_vs_striped(window0, *rows_, striped_, *batch_, *matrix_,
+    ungapped_hits_rows_vs_striped(window0, *rows_, striped_, batch_, *matrix_,
                                   threshold_, hits);
     return;
   }
   if (kernel_ == UngappedKernel::kScalar) {
-    ungapped_score_one_vs_many(window0, *batch_, *matrix_, scores_);
+    ungapped_score_one_vs_many(window0, batch_, *matrix_, scores_);
   } else {
-    ungapped_score_one_vs_many_blocked(window0, *batch_, *matrix_, scores_);
+    ungapped_score_one_vs_many_blocked(window0, batch_, *matrix_, scores_);
   }
   hits.clear();
   for (std::size_t i = 0; i < scores_.size(); ++i) {

@@ -126,7 +126,7 @@ struct WindowScore {
 void ungapped_hits_rows_vs_striped(std::span<const std::uint8_t> window0,
                                    const SubstitutionRows& rows,
                                    const index::StripedWindows& striped,
-                                   const index::WindowBatch& batch,
+                                   index::WindowSpan batch,
                                    const bio::SubstitutionMatrix& matrix,
                                    int threshold,
                                    std::vector<WindowScore>& hits);
@@ -149,9 +149,9 @@ class UngappedHitFinder {
   /// The resolved kernel: kScalar, kBlocked or kSimd.
   UngappedKernel kernel() const noexcept { return kernel_; }
 
-  /// Stages `batch` as the IL1 side of the next hits() calls. `batch`
-  /// must stay alive and unchanged until the next assign().
-  void assign(const index::WindowBatch& batch);
+  /// Stages `batch` as the IL1 side of the next hits() calls. The windows
+  /// it views must stay alive and unchanged until the next assign().
+  void assign(index::WindowSpan batch);
 
   /// Replaces `hits` with {i, score} for each window i of the assigned
   /// batch whose exact score against `window0` reaches the threshold, in
@@ -165,7 +165,7 @@ class UngappedHitFinder {
   int threshold_;
   UngappedKernel kernel_;
   std::optional<SubstitutionRows> rows_;  ///< engaged iff kernel_ is kSimd
-  const index::WindowBatch* batch_ = nullptr;
+  index::WindowSpan batch_;
   bool striped_batch_ = false;  ///< the assigned batch is screened
   index::StripedWindows striped_;
   std::vector<int> scores_;

@@ -25,9 +25,10 @@ double shannon_entropy_bits(std::span<const std::uint8_t> residues) {
   return entropy;
 }
 
-std::size_t mask_low_complexity(Sequence& sequence, const MaskConfig& config) {
-  if (sequence.kind() != SequenceKind::kProtein) return 0;
-  auto& residues = sequence.mutable_residues();
+namespace {
+
+std::size_t mask_residues(std::span<std::uint8_t> residues,
+                          const MaskConfig& config) {
   const std::size_t n = residues.size();
   if (n < config.window || config.window == 0) return 0;
 
@@ -51,10 +52,18 @@ std::size_t mask_low_complexity(Sequence& sequence, const MaskConfig& config) {
   return masked;
 }
 
+}  // namespace
+
+std::size_t mask_low_complexity(Sequence& sequence, const MaskConfig& config) {
+  if (sequence.kind() != SequenceKind::kProtein) return 0;
+  return mask_residues(sequence.mutable_residues(), config);
+}
+
 std::size_t mask_low_complexity(SequenceBank& bank, const MaskConfig& config) {
+  if (bank.kind() != SequenceKind::kProtein) return 0;
   std::size_t masked = 0;
   for (std::size_t i = 0; i < bank.size(); ++i) {
-    masked += mask_low_complexity(bank.mutable_sequence(i), config);
+    masked += mask_residues(bank.mutable_residues(i), config);
   }
   return masked;
 }

@@ -87,7 +87,7 @@ SequenceBank read_fasta_file(const std::string& path, SequenceKind kind) {
 void write_fasta(std::ostream& out, const SequenceBank& bank,
                  std::size_t width) {
   if (width == 0) width = 70;
-  for (const Sequence& seq : bank) {
+  for (const SequenceView seq : bank) {
     out << '>' << seq.id() << '\n';
     const std::string letters = seq.to_letters();
     for (std::size_t pos = 0; pos < letters.size(); pos += width) {

@@ -21,7 +21,7 @@ std::int64_t TranslatedFrame::genome_position(std::size_t residue_offset,
   return length - shift - 3 * (off + 1);
 }
 
-TranslatedFrame translate_frame(const Sequence& dna, int frame) {
+TranslatedFrame translate_frame(SequenceView dna, int frame) {
   if (dna.kind() != SequenceKind::kDna) {
     throw std::invalid_argument("translate_frame: input is not DNA");
   }
@@ -53,12 +53,12 @@ TranslatedFrame translate_frame(const Sequence& dna, int frame) {
 
   TranslatedFrame out;
   out.frame = frame;
-  out.protein = Sequence(dna.id() + "|f" + std::to_string(frame),
+  out.protein = Sequence(std::string(dna.id()) + "|f" + std::to_string(frame),
                          SequenceKind::kProtein, std::move(protein));
   return out;
 }
 
-std::vector<TranslatedFrame> translate_six_frames(const Sequence& dna) {
+std::vector<TranslatedFrame> translate_six_frames(SequenceView dna) {
   std::vector<TranslatedFrame> frames;
   frames.reserve(6);
   for (int f : {1, 2, 3, -1, -2, -3}) {
@@ -72,6 +72,22 @@ SequenceBank split_frames(const std::vector<TranslatedFrame>& frames,
                           std::size_t min_length, std::size_t genome_length,
                           std::vector<FrameFragment>* fragments) {
   SequenceBank bank(SequenceKind::kProtein);
+  // Size the bank once: a translated genome is tens of thousands of
+  // fragments, and growing the arena would copy it log-many times.
+  std::size_t fragment_count = 0;
+  std::size_t fragment_residues = 0;
+  for (const TranslatedFrame& tf : frames) {
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i <= tf.protein.size(); ++i) {
+      if (i < tf.protein.size() && tf.protein[i] != kStop) continue;
+      if (i - begin >= min_length) {
+        ++fragment_count;
+        fragment_residues += i - begin;
+      }
+      begin = i + 1;
+    }
+  }
+  bank.reserve(fragment_count, fragment_residues);
   for (const TranslatedFrame& tf : frames) {
     const auto& residues = tf.protein.residues();
     std::size_t begin = 0;
@@ -80,11 +96,9 @@ SequenceBank split_frames(const std::vector<TranslatedFrame>& frames,
       if (!at_break) continue;
       const std::size_t len = i - begin;
       if (len >= min_length) {
-        std::vector<std::uint8_t> fragment(
-            residues.begin() + static_cast<std::ptrdiff_t>(begin),
-            residues.begin() + static_cast<std::ptrdiff_t>(i));
-        bank.add(Sequence(tf.protein.id() + "|" + std::to_string(begin),
-                          SequenceKind::kProtein, std::move(fragment)));
+        const std::string id = tf.protein.id() + "|" + std::to_string(begin);
+        bank.add(SequenceView(id, SequenceKind::kProtein,
+                              ResidueSpan(residues.data() + begin, len)));
         if (fragments != nullptr) {
           FrameFragment record;
           record.frame = tf.frame;

@@ -26,10 +26,16 @@ struct TranslatedFrame {
 
 /// Translates all six frames. Codons containing N translate to X. The
 /// translation covers floor((len - offset)/3) codons per frame.
-std::vector<TranslatedFrame> translate_six_frames(const Sequence& dna);
+std::vector<TranslatedFrame> translate_six_frames(SequenceView dna);
+inline std::vector<TranslatedFrame> translate_six_frames(const Sequence& dna) {
+  return translate_six_frames(dna.view());
+}
 
 /// Translates a single frame (frame in {+1,+2,+3,-1,-2,-3}).
-TranslatedFrame translate_frame(const Sequence& dna, int frame);
+TranslatedFrame translate_frame(SequenceView dna, int frame);
+inline TranslatedFrame translate_frame(const Sequence& dna, int frame) {
+  return translate_frame(dna.view(), frame);
+}
 
 /// Splits translated frames at stop codons into ORF-like fragments of at
 /// least `min_length` residues, preserving frame/position metadata in the

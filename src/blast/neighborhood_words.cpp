@@ -86,7 +86,7 @@ WordLookup::WordLookup(const bio::SequenceBank& queries, std::size_t word_size,
   std::vector<std::uint32_t> scratch;
   std::vector<std::pair<std::uint32_t, QueryWordHit>> pairs;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    const bio::Sequence& query = queries[q];
+    const bio::SequenceView query = queries[q];
     if (query.size() < word_size) continue;
     positions_ += query.size() - word_size + 1;
     for (std::size_t pos = 0; pos + word_size <= query.size(); ++pos) {

@@ -65,7 +65,7 @@ TblastnResult tblastn_search(const bio::SequenceBank& queries,
   util::Timer scan_timer;
   std::vector<BlastHit> raw_hits;
   for (std::size_t s = 0; s < subjects.size(); ++s) {
-    const bio::Sequence& subject = subjects[s];
+    const bio::SequenceView subject = subjects[s];
     if (subject.size() < options.word_size) continue;
     tracker.new_subject();
     const std::uint8_t* data = subject.data();
@@ -85,7 +85,7 @@ TblastnResult tblastn_search(const bio::SequenceBank& queries,
         if (!trigger) continue;
         ++result.counters.triggers;
 
-        const bio::Sequence& query = queries[qhit.query];
+        const bio::SequenceView query = queries[qhit.query];
         const align::UngappedExtension ungapped = align::xdrop_ungapped_extend(
             {query.data(), query.size()}, {data, subject.size()},
             qhit.position, pos, options.word_size, matrix,

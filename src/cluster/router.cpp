@@ -45,7 +45,7 @@ bool prefix_matches(const std::string& requested,
 /// the router was given.
 std::string bank_to_fasta(const bio::SequenceBank& bank) {
   std::string out;
-  for (const bio::Sequence& sequence : bank) {
+  for (const bio::SequenceView sequence : bank) {
     out += '>';
     out += sequence.id();
     out += '\n';

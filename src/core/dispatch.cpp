@@ -78,16 +78,6 @@ DispatchResult run_step2_dispatch(const bio::SequenceBank& bank0,
     result.hits.insert(result.hits.end(), accel.hits.begin(),
                        accel.hits.end());
   }
-
-  // Normalize the merged hit order so dispatch fraction does not change
-  // downstream behaviour.
-  std::sort(result.hits.begin(), result.hits.end(),
-            [](const align::SeedPairHit& a, const align::SeedPairHit& b) {
-              return std::tuple(a.bank0.sequence, a.bank0.offset,
-                                a.bank1.sequence, a.bank1.offset, a.score) <
-                     std::tuple(b.bank0.sequence, b.bank0.offset,
-                                b.bank1.sequence, b.bank1.offset, b.score);
-            });
   return result;
 }
 

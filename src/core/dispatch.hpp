@@ -33,7 +33,9 @@ struct DispatchConfig {
 };
 
 struct DispatchResult {
-  std::vector<align::SeedPairHit> hits;  ///< merged, normalized order
+  /// Merged hits of both halves, in an unspecified order (step 3 orders
+  /// them; the modeled numbers depend only on the key split).
+  std::vector<align::SeedPairHit> hits;
   std::uint64_t pairs = 0;
   std::uint64_t host_pairs = 0;
   std::uint64_t accel_pairs = 0;

@@ -24,6 +24,14 @@ HybridResult run_hybrid_pipeline(const bio::SequenceBank& bank0,
     throw std::invalid_argument(
         "run_hybrid_pipeline: host_fraction must be in [0,1]");
   }
+  // The gapped windows are read in place from the banks' arenas, so
+  // their flank must fit the arena padding like step 2's.
+  if (options.gap.window_length < base.shape.seed_width ||
+      (options.gap.window_length - base.shape.seed_width) / 2 >
+          bio::SequenceBank::kPadding) {
+    throw std::invalid_argument(
+        "run_hybrid_pipeline: gap window flank exceeds the bank padding");
+  }
 
   HybridResult result;
 
@@ -72,8 +80,8 @@ HybridResult run_hybrid_pipeline(const bio::SequenceBank& bank0,
   result.counters.step2_hits = step2_hits.size();
 
   // ---- banded screen: gap operator on FPGA 1 ------------------------------
-  // Extract the longer gapped windows around every surviving hit pair and
-  // stream them through the lanes.
+  // The longer gapped windows around every surviving hit pair, read in
+  // place from the arenas, stream through the lanes.
   const index::WindowShape gap_shape{
       base.shape.seed_width,
       (options.gap.window_length - base.shape.seed_width) / 2};

@@ -13,6 +13,11 @@ void PipelineOptions::validate() const {
   if (shape.seed_width == 0) {
     throw std::invalid_argument("PipelineOptions: zero seed width");
   }
+  // Windows are read in place from the banks' padded arenas.
+  if (shape.flank > bio::SequenceBank::kPadding) {
+    throw std::invalid_argument(
+        "PipelineOptions: window flank exceeds the bank padding (64)");
+  }
   const index::SeedModel model = make_seed_model(seed_model);
   if (model.width() != shape.seed_width) {
     throw std::invalid_argument(

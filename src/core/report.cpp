@@ -12,8 +12,8 @@ struct OpSummary {
   std::size_t gap_opens = 0;
 };
 
-OpSummary summarize_ops(const Match& match, const bio::Sequence& s0,
-                        const bio::Sequence& s1) {
+OpSummary summarize_ops(const Match& match, bio::SequenceView s0,
+                        bio::SequenceView s1) {
   OpSummary out;
   if (match.alignment.ops.empty()) {
     out.length = std::max(match.alignment.end0 - match.alignment.begin0,
@@ -52,8 +52,8 @@ void write_tabular(std::ostream& out, const std::vector<Match>& matches,
                    const bio::SequenceBank& bank0,
                    const bio::SequenceBank& bank1) {
   for (const Match& match : matches) {
-    const bio::Sequence& s0 = bank0[match.bank0_sequence];
-    const bio::Sequence& s1 = bank1[match.bank1_sequence];
+    const bio::SequenceView s0 = bank0[match.bank0_sequence];
+    const bio::SequenceView s1 = bank1[match.bank1_sequence];
     const OpSummary ops = summarize_ops(match, s0, s1);
     const double pident =
         match.alignment.ops.empty()

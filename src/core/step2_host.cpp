@@ -20,14 +20,13 @@ constexpr std::size_t kStep2PartialReserve = 256;
 /// per-chunk hit vectors stay few.
 constexpr std::size_t kStep2ChunksPerWorker = 8;
 
-/// Per-worker kernel state: window batches, the hit finder (which owns
+/// Per-worker kernel state: the IL1 window list, the hit finder (which owns
 /// the resolved kernel's rows, striped image and score buffer) and the
 /// hit buffer. One instance is owned by each engine thread and threaded
 /// through process_key, so kernel scratch ownership is explicit (no
 /// function-local TLS) and the hot loop performs no allocation once the
 /// buffers have grown to steady state.
 struct Step2Scratch {
-  index::WindowBatch batch0;
   index::WindowBatch batch1;
   align::UngappedHitFinder finder;
   std::vector<align::WindowScore> passed;
@@ -35,8 +34,7 @@ struct Step2Scratch {
   Step2Scratch(std::size_t window_length,
                const bio::SubstitutionMatrix& matrix, int threshold,
                align::UngappedKernel kernel)
-      : batch0(window_length),
-        batch1(window_length),
+      : batch1(window_length),
         finder(kernel, matrix, threshold) {}
 };
 
@@ -52,21 +50,22 @@ std::uint64_t process_key(const bio::SequenceBank& bank0,
   const auto list1 = table1.occurrences(key);
   if (list0.empty() || list1.empty()) return 0;
 
-  index::extract_windows(bank0, list0, shape, scratch.batch0);
   index::extract_windows(bank1, list1, shape, scratch.batch1);
 
-  // One IL0 window against the whole IL1 batch per kernel invocation --
-  // the software mirror of a PE's duty in the array. Every kernel reports
-  // exactly the pairs at or above the threshold with their exact scores,
-  // so the hit set is independent of the choice.
-  const index::WindowBatch& batch0 = scratch.batch0;
+  // One IL0 window, read in place from bank0's arena, against the whole
+  // IL1 list per kernel invocation -- the software mirror of a PE's duty
+  // in the array. Every kernel reports exactly the pairs at or above the
+  // threshold with their exact scores, so the hit set is independent of
+  // the choice.
   const index::WindowBatch& batch1 = scratch.batch1;
   scratch.finder.assign(batch1);
-  for (std::size_t i0 = 0; i0 < batch0.size(); ++i0) {
-    scratch.finder.hits(batch0.window(i0), scratch.passed);
+  for (const index::Occurrence& occ0 : list0) {
+    scratch.finder.hits(
+        {index::window_start(bank0, occ0, shape), shape.length()},
+        scratch.passed);
     for (const align::WindowScore& hit : scratch.passed) {
-      hits.push_back(align::SeedPairHit{batch0.source(i0),
-                                        batch1.source(hit.window), hit.score});
+      hits.push_back(
+          align::SeedPairHit{occ0, batch1.source(hit.window), hit.score});
     }
   }
   return static_cast<std::uint64_t>(list0.size()) * list1.size();
@@ -89,30 +88,13 @@ std::uint64_t process_key_range(const bio::SequenceBank& bank0,
   return pairs;
 }
 
-/// Normalizes hit order (sort by sequence pair, then offsets, then
-/// score) so the parallel engines' output is independent of scheduling.
-void normalize_step2_hits(std::vector<align::SeedPairHit>& hits) {
-  std::sort(hits.begin(), hits.end(), [](const align::SeedPairHit& a,
-                                         const align::SeedPairHit& b) {
-    if (a.bank0.sequence != b.bank0.sequence) {
-      return a.bank0.sequence < b.bank0.sequence;
-    }
-    if (a.bank1.sequence != b.bank1.sequence) {
-      return a.bank1.sequence < b.bank1.sequence;
-    }
-    if (a.bank0.offset != b.bank0.offset) return a.bank0.offset < b.bank0.offset;
-    if (a.bank1.offset != b.bank1.offset) return a.bank1.offset < b.bank1.offset;
-    return a.score < b.score;
-  });
-}
-
 /// Scores the keys of `chunks` (ranges over the indices that `key_at`
 /// maps to seed keys) on up to `workers` executor tasks. Each task owns
 /// one Step2Scratch and claims chunks until none is left, so kernel
 /// state is built once per worker rather than once per chunk; each
 /// chunk keeps its own hit vector, which bounds the over-allocation of
-/// vector growth to a chunk's share of the hits. Hits come back
-/// normalized.
+/// vector growth to a chunk's share of the hits. Hits come back in chunk
+/// order, unsorted.
 template <typename KeyAt>
 HostStep2Result score_chunks(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,
@@ -154,7 +136,6 @@ HostStep2Result score_chunks(
   for (const auto& p : partial) {
     out.hits.insert(out.hits.end(), p.begin(), p.end());
   }
-  normalize_step2_hits(out.hits);
   return out;
 }
 

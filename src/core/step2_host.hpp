@@ -42,6 +42,8 @@ std::vector<std::pair<std::size_t, std::size_t>> cost_aware_key_chunks(
     std::span<const index::SeedKey> keys, std::size_t parts);
 
 struct HostStep2Result {
+  /// Every pair at or above the threshold, in an unspecified order (step
+  /// 3 orders them itself; compare hit sets after sorting).
   std::vector<align::SeedPairHit> hits;
   std::uint64_t pairs = 0;  ///< window pairs scored
   std::uint64_t cells = 0;  ///< substitution cells evaluated (pairs * len)
@@ -60,8 +62,8 @@ HostStep2Result run_step2_host(
 
 /// Parallel engine on the shared work-stealing executor; `threads == 0`
 /// uses hardware concurrency (the TaskGroup caps occupancy at `threads`
-/// even when the executor is wider). Hit order is normalized (sorted)
-/// so results are deterministic regardless of scheduling. `executor`
+/// even when the executor is wider). The hit set does not depend on the
+/// thread count or scheduling; its order is unspecified. `executor`
 /// nullptr = util::Executor::shared().
 HostStep2Result run_step2_host_parallel(
     const bio::SequenceBank& bank0, const index::IndexTable& table0,

@@ -34,6 +34,71 @@ bool step3_hit_order(const align::SeedPairHit& a,
   return a.bank1.offset < b.bank1.offset;
 }
 
+/// Hit sets below this size are ordered by one serial std::sort.
+constexpr std::size_t kParallelOrderMinHits = std::size_t{1} << 14;
+
+/// Sort buckets per worker: enough that a bucket holding a heavy query
+/// sequence does not leave the other workers idle.
+constexpr std::size_t kOrderBucketsPerWorker = 4;
+
+/// Sorts `hits` with step3_hit_order, in parallel on `exec` when
+/// `workers` > 1. Contiguous bank-0 sequence ranges of about equal hit
+/// counts form the buckets (every hit's bank0.sequence must be below
+/// `sequences`); one in-place pass moves each hit into its bucket, and
+/// the buckets are sorted on their own. The buckets follow the order's
+/// leading key and the order is total, so the result equals one
+/// std::sort.
+void order_hits(std::vector<align::SeedPairHit>& hits, std::size_t sequences,
+                std::size_t workers, util::Executor& exec) {
+  if (workers <= 1 || hits.size() < kParallelOrderMinHits) {
+    std::sort(hits.begin(), hits.end(), step3_hit_order);
+    return;
+  }
+  std::vector<std::size_t> counts(sequences, 0);
+  for (const align::SeedPairHit& hit : hits) ++counts[hit.bank0.sequence];
+  const std::size_t parts = workers * kOrderBucketsPerWorker;
+  const std::size_t target = (hits.size() + parts - 1) / parts;
+  // Bucket b holds slots [ends[b - 1], ends[b]) (ends[-1] = 0).
+  std::vector<std::uint32_t> bucket_of(sequences);
+  std::vector<std::size_t> ends;
+  std::size_t filled = 0;
+  std::size_t in_bucket = 0;
+  for (std::size_t s = 0; s < sequences; ++s) {
+    bucket_of[s] = static_cast<std::uint32_t>(ends.size());
+    filled += counts[s];
+    in_bucket += counts[s];
+    if (in_bucket >= target) {
+      ends.push_back(filled);
+      in_bucket = 0;
+    }
+  }
+  if (in_bucket > 0) ends.push_back(filled);
+  // In-place bucket pass: each swap settles one hit in its bucket.
+  std::vector<std::size_t> next(ends.size(), 0);
+  for (std::size_t b = 1; b < ends.size(); ++b) next[b] = ends[b - 1];
+  for (std::size_t b = 0; b < ends.size(); ++b) {
+    while (next[b] < ends[b]) {
+      align::SeedPairHit& hit = hits[next[b]];
+      const std::uint32_t home = bucket_of[hit.bank0.sequence];
+      if (home == b) {
+        ++next[b];
+      } else {
+        std::swap(hit, hits[next[home]++]);
+      }
+    }
+  }
+  util::Executor::TaskGroup group(exec, workers);
+  for (std::size_t b = 0; b < ends.size(); ++b) {
+    group.run([&hits, &ends, b] {
+      const std::size_t begin = b == 0 ? 0 : ends[b - 1];
+      std::sort(hits.begin() + static_cast<std::ptrdiff_t>(begin),
+                hits.begin() + static_cast<std::ptrdiff_t>(ends[b]),
+                step3_hit_order);
+    });
+  }
+  group.wait();
+}
+
 /// Half-open [begin, end) ranges of equal (bank0, bank1) sequence
 /// pairs; `hits` must already be sorted with step3_hit_order.
 std::vector<std::pair<std::size_t, std::size_t>> pair_group_ranges(
@@ -74,11 +139,11 @@ std::uint64_t extend_pair_group(
     if (covered) continue;
 
     ++extensions;
-    const bio::Sequence& s0 = bank0[hit.bank0.sequence];
-    const bio::Sequence& s1 = bank1[hit.bank1.sequence];
-    align::Alignment alignment = extender.extend(
-        {s0.data(), s0.size()}, {s1.data(), s1.size()}, hit.bank0.offset,
-        hit.bank1.offset, options.shape.seed_width, options.with_traceback);
+    const auto s0 = bank0.residues(hit.bank0.sequence);
+    const auto s1 = bank1.residues(hit.bank1.sequence);
+    align::Alignment alignment =
+        extender.extend(s0, s1, hit.bank0.offset, hit.bank1.offset,
+                        options.shape.seed_width, options.with_traceback);
 
     const double e =
         align::e_value(alignment.score, static_cast<double>(s0.size()),
@@ -114,9 +179,8 @@ class Step3StatsCache {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = adjusted_.find(query);
     if (it != adjusted_.end()) return it->second;
-    const bio::Sequence& s0 = bank0_[query];
     return adjusted_
-        .emplace(query, align::composition_adjusted({s0.data(), s0.size()},
+        .emplace(query, align::composition_adjusted(bank0_.residues(query),
                                                     matrix_, options_.stats))
         .first->second;
   }
@@ -142,7 +206,12 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
   out.kernel = extender.kernel();
   if (hits.empty()) return out;
 
-  std::sort(hits.begin(), hits.end(), step3_hit_order);
+  const std::size_t workers =
+      options.step3_threads == 0 ? util::default_thread_count()
+                                 : options.step3_threads;
+  util::Executor& exec =
+      options.executor ? *options.executor : util::Executor::shared();
+  order_hits(hits, bank0.size(), workers, exec);
 
   const double total_bank1_residues =
       options.search_space_residues > 0.0
@@ -160,9 +229,6 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
         matches);
   };
 
-  const std::size_t workers =
-      options.step3_threads == 0 ? util::default_thread_count()
-                                 : options.step3_threads;
   if (workers <= 1 || groups.size() <= 1) {
     for (const auto& range : groups) {
       out.extensions += run_group(range, out.matches);
@@ -174,8 +240,6 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
     // TaskGroup backlog soak up skewed groups.
     const auto chunks =
         util::blocks(0, groups.size(), workers * 4);
-    util::Executor& exec =
-        options.executor ? *options.executor : util::Executor::shared();
     util::Executor::TaskGroup task_group(exec, workers);
     std::vector<std::vector<Match>> partial(chunks.size());
     std::vector<std::uint64_t> extensions(chunks.size(), 0);

@@ -25,10 +25,12 @@ struct Step3Result {
 
 /// Extends every hit whose seed is not already covered by an accepted
 /// alignment of the same sequence pair, filters at options.e_value_cutoff
-/// and finalizes the match list. Parallel over sequence-pair groups when
-/// options.step3_threads is not 1 (0 = hardware concurrency; on
-/// options.executor, or the shared executor); the result is identical
-/// to the sequential walk either way.
+/// and finalizes the match list. `hits` may come in any order: they are
+/// put in one total order first. Ordering and extension run in parallel
+/// (the ordering over bank-0 sequence buckets, the extensions over
+/// sequence-pair groups) when options.step3_threads is not 1 (0 =
+/// hardware concurrency; on options.executor, or the shared executor);
+/// the result is identical to the sequential walk either way.
 Step3Result run_step3(const bio::SequenceBank& bank0,
                       const bio::SequenceBank& bank1,
                       std::vector<align::SeedPairHit> hits,

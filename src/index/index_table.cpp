@@ -129,7 +129,7 @@ IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model,
   // Pass 1: count occurrences per key (counts land in starts[key + 1] so
   // the prefix sum below turns them into begin offsets directly).
   for (std::size_t s = 0; s < bank.size(); ++s) {
-    const bio::Sequence& seq = bank[s];
+    const bio::SequenceView seq = bank[s];
     if (seq.size() < w) continue;
     const std::uint8_t* data = seq.data();
     const std::size_t last = seq.size() - w;
@@ -144,7 +144,7 @@ IndexTable::IndexTable(const bio::SequenceBank& bank, const SeedModel& model,
   occurrences.resize(starts[keys]);
   std::vector<std::size_t> cursor(starts.begin(), starts.end() - 1);
   for (std::size_t s = 0; s < bank.size(); ++s) {
-    const bio::Sequence& seq = bank[s];
+    const bio::SequenceView seq = bank[s];
     if (seq.size() < w) continue;
     const std::uint8_t* data = seq.data();
     const std::size_t last = seq.size() - w;
@@ -183,7 +183,7 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
     group.run([&, c] {
       auto& local = counts[c];
       for (std::size_t s = chunks[c].first; s < chunks[c].second; ++s) {
-        const bio::Sequence& seq = bank[s];
+        const bio::SequenceView seq = bank[s];
         if (seq.size() < w) continue;
         const std::uint8_t* data = seq.data();
         const std::size_t last = seq.size() - w;
@@ -216,7 +216,7 @@ IndexTable IndexTable::build_parallel(const bio::SequenceBank& bank,
     group.run([&, c] {
       auto& cursor = cursors[c];
       for (std::size_t s = chunks[c].first; s < chunks[c].second; ++s) {
-        const bio::Sequence& seq = bank[s];
+        const bio::SequenceView seq = bank[s];
         if (seq.size() < w) continue;
         const std::uint8_t* data = seq.data();
         const std::size_t last = seq.size() - w;

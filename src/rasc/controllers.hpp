@@ -14,17 +14,16 @@
 
 namespace psc::rasc {
 
-/// Streams the residues of a WindowBatch one per cycle, window after
+/// Streams the residues of a window stream one per cycle, window after
 /// window. Input Controller 0 feeds PE shift registers during the load
 /// phase; Input Controller 1 broadcasts IL1 windows during compute.
 class InputController {
  public:
-  explicit InputController(const index::WindowBatch& batch)
-      : batch_(&batch) {}
+  explicit InputController(index::WindowSpan batch) : batch_(batch) {}
 
   bool exhausted() const {
     const std::size_t limit =
-        limit_ < batch_->size() ? limit_ : batch_->size();
+        limit_ < batch_.size() ? limit_ : batch_.size();
     return window_ >= limit;
   }
 
@@ -46,7 +45,7 @@ class InputController {
   std::optional<Emission> next();
 
  private:
-  const index::WindowBatch* batch_;
+  index::WindowSpan batch_;
   std::size_t first_ = 0;
   std::size_t limit_ = static_cast<std::size_t>(-1);
   std::size_t window_ = 0;

@@ -23,8 +23,8 @@ GapOperator::GapOperator(const GapOperatorConfig& config,
   config_.validate();
 }
 
-void GapOperator::run_pairs(const index::WindowBatch& batch0,
-                            const index::WindowBatch& batch1,
+void GapOperator::run_pairs(index::WindowSpan batch0,
+                            index::WindowSpan batch1,
                             std::vector<ResultRecord>& out) {
   if (batch0.size() != batch1.size()) {
     throw std::invalid_argument("GapOperator::run_pairs: batch size mismatch");

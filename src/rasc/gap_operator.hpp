@@ -68,8 +68,7 @@ class GapOperator {
   /// ResultRecord (pair index in both fields, banded score) for each pair
   /// at or above the threshold. Pairs are spread across the lanes; cycle
   /// accounting follows the per-pair closed form above.
-  void run_pairs(const index::WindowBatch& batch0,
-                 const index::WindowBatch& batch1,
+  void run_pairs(index::WindowSpan batch0, index::WindowSpan batch1,
                  std::vector<ResultRecord>& out);
 
   const GapOperatorStats& stats() const { return stats_; }

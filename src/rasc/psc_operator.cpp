@@ -35,7 +35,6 @@ PscOperator::PscOperator(const PscConfig& config,
       rom_(&rom),
       cascade_(config.num_slots(), config.fifo_depth),
       finder_(align::UngappedKernel::kAuto, rom, config.threshold),
-      tile_(config.window_length),
       counts_(kIl1Tile + 1) {
   config_.validate();
   slots_.reserve(config_.num_slots());
@@ -56,9 +55,8 @@ double PscOperator::modeled_seconds() const {
   return static_cast<double>(stats_.cycles_total()) / config_.clock_hz;
 }
 
-void PscOperator::score_tile(const index::WindowBatch& il0, std::size_t first,
-                             std::size_t loaded,
-                             const index::WindowBatch& tile,
+void PscOperator::score_tile(index::WindowSpan il0, std::size_t first,
+                             std::size_t loaded, index::WindowSpan tile,
                              std::size_t tile_first,
                              std::vector<ResultRecord>& out) {
   const std::size_t width = tile.size();
@@ -87,8 +85,7 @@ void PscOperator::score_tile(const index::WindowBatch& il0, std::size_t first,
   }
 }
 
-void PscOperator::run_key(const index::WindowBatch& il0,
-                          const index::WindowBatch& il1,
+void PscOperator::run_key(index::WindowSpan il0, index::WindowSpan il1,
                           std::vector<ResultRecord>& out) {
   const std::size_t length = config_.window_length;
   if (il0.window_length() != length || il1.window_length() != length) {
@@ -113,12 +110,8 @@ void PscOperator::run_key(const index::WindowBatch& il0,
     std::size_t backlog = 0;
     for (std::size_t tile_first = 0; tile_first < k1; tile_first += kIl1Tile) {
       const std::size_t width = std::min(kIl1Tile, k1 - tile_first);
-      const index::WindowBatch* tile = &il1;
-      if (width != k1) {
-        tile_.assign(il1, tile_first, width);
-        tile = &tile_;
-      }
-      score_tile(il0, first, loaded, *tile, tile_first, out);
+      score_tile(il0, first, loaded, il1.subspan(tile_first, width),
+                 tile_first, out);
 
       std::size_t previous = 0;
       for (std::size_t j = 0; j < width; ++j) {
@@ -148,8 +141,8 @@ void PscOperator::run_key(const index::WindowBatch& il0,
   }
 }
 
-void PscOperator::run_key_cycle_exact(const index::WindowBatch& il0,
-                                      const index::WindowBatch& il1,
+void PscOperator::run_key_cycle_exact(index::WindowSpan il0,
+                                      index::WindowSpan il1,
                                       std::vector<ResultRecord>& out) {
   const std::size_t length = config_.window_length;
   if (il0.window_length() != length || il1.window_length() != length) {

@@ -20,11 +20,12 @@
 //    the pairs the PE datapath's max-prefix-sum passes, with their exact
 //    scores. Like the PEs' substitution ROM, the matrix is laid out once
 //    per operator as biased residue-indexed rows (align::SubstitutionRows)
-//    and each loaded IL0 window is read in place, so a round's load phase
-//    costs modeled cycles only. IL1 is scored in fixed-size tiles, and records are
-//    emitted in the array's completion order (round, then IL1 window,
-//    then IL0 window) with each IL1 window's hit count fed to the
-//    closed-form timing model below. Benches use this engine; tests
+//    and every window is read in place from the banks' arenas, so a
+//    round's load phase costs modeled cycles only. IL1 is scored in
+//    fixed-size tiles, each a sub-range view of the key's IL1 windows,
+//    and records are emitted in the array's completion order (round,
+//    then IL1 window, then IL0 window) with each IL1 window's hit count
+//    fed to the closed-form timing model below. Benches use this engine; tests
 //    verify its records against the cycle-exact engine.
 //
 // Timing model (per round with p loaded PEs, q IL1 windows, window
@@ -92,12 +93,11 @@ class PscOperator {
   /// appending above-threshold results to `out` (indices are positions in
   /// the respective batches) in the order the cycle-exact engine's slots
   /// complete them. Updates stats with modeled cycles.
-  void run_key(const index::WindowBatch& il0, const index::WindowBatch& il1,
+  void run_key(index::WindowSpan il0, index::WindowSpan il1,
                std::vector<ResultRecord>& out);
 
   /// Cycle-exact engine: same contract, every component stepped per clock.
-  void run_key_cycle_exact(const index::WindowBatch& il0,
-                           const index::WindowBatch& il1,
+  void run_key_cycle_exact(index::WindowSpan il0, index::WindowSpan il1,
                            std::vector<ResultRecord>& out);
 
   const OperatorStats& stats() const { return stats_; }
@@ -110,11 +110,11 @@ class PscOperator {
  private:
   void reset_array();
   /// Scores loaded IL0 windows [first, first + loaded) against `tile`
-  /// (IL1 windows [tile_first, tile_first + tile.size())) and appends the
+  /// (the IL1 sub-range [tile_first, tile_first + tile.size())) and appends the
   /// passing records to `out` ordered by IL1 window, then IL0 window.
   /// counts_[j] ends as the record count of the tile's windows <= j.
-  void score_tile(const index::WindowBatch& il0, std::size_t first,
-                  std::size_t loaded, const index::WindowBatch& tile,
+  void score_tile(index::WindowSpan il0, std::size_t first,
+                  std::size_t loaded, index::WindowSpan tile,
                   std::size_t tile_first, std::vector<ResultRecord>& out);
 
   PscConfig config_;
@@ -128,7 +128,6 @@ class PscOperator {
   // residue-indexed rows when the screen applies) and scratch bounded by
   // the IL1 tile size.
   align::UngappedHitFinder finder_;
-  index::WindowBatch tile_;
   std::vector<align::WindowScore> passed_;
   std::vector<ResultRecord> pending_;
   std::vector<std::uint32_t> counts_;

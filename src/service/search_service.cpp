@@ -497,7 +497,7 @@ void SearchService::process_group(const std::string& prefix,
     ranges.reserve(group.size());
     for (const Request* request : group) {
       const std::size_t base = combined.size();
-      for (const bio::Sequence& sequence : request->request.query) {
+      for (const bio::SequenceView sequence : request->request.query) {
         combined.add(sequence);
       }
       ranges.emplace_back(base, request->request.query.size());

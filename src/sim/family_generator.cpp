@@ -41,13 +41,12 @@ QueryTargetSplit split_queries(const FamilyBenchmark& benchmark,
   std::vector<std::size_t> seen_in_family(benchmark.family_count, 0);
   for (std::size_t i = 0; i < benchmark.members.size(); ++i) {
     const std::size_t family = benchmark.family_of[i];
-    bio::Sequence copy(benchmark.members[i].id(), bio::SequenceKind::kProtein,
-                       std::vector<std::uint8_t>(benchmark.members[i].residues()));
+    const bio::SequenceView copy = benchmark.members[i];
     if (seen_in_family[family] < queries_per_family) {
-      out.queries.add(std::move(copy));
+      out.queries.add(copy);
       out.query_family.push_back(family);
     } else {
-      out.targets.add(std::move(copy));
+      out.targets.add(copy);
       out.target_family.push_back(family);
     }
     ++seen_in_family[family];

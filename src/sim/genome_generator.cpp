@@ -88,7 +88,7 @@ bio::Sequence generate_genome(const GenomeConfig& config) {
                        std::move(data));
 }
 
-void plant_gene(bio::Sequence& genome, const bio::Sequence& protein,
+void plant_gene(bio::Sequence& genome, bio::SequenceView protein,
                 std::size_t position, bool forward_strand,
                 util::Xoshiro256& rng) {
   const std::size_t nt_length = 3 * protein.size();

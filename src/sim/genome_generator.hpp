@@ -37,9 +37,14 @@ bio::Sequence generate_genome(const GenomeConfig& config);
 /// codons and writes it into `genome` at `position` (forward strand) or as
 /// its reverse complement (reverse strand). The written region replaces
 /// existing nucleotides; the caller guarantees it fits.
-void plant_gene(bio::Sequence& genome, const bio::Sequence& protein,
+void plant_gene(bio::Sequence& genome, bio::SequenceView protein,
                 std::size_t position, bool forward_strand,
                 util::Xoshiro256& rng);
+inline void plant_gene(bio::Sequence& genome, const bio::Sequence& protein,
+                       std::size_t position, bool forward_strand,
+                       util::Xoshiro256& rng) {
+  plant_gene(genome, protein.view(), position, forward_strand, rng);
+}
 
 /// Plants every protein of `bank` at random non-overlapping positions and
 /// strands. Returns the plant records (sorted by position). Throws if the

@@ -36,7 +36,7 @@ struct SubstitutionModel {
 
 }  // namespace
 
-bio::Sequence mutate_protein(const bio::Sequence& protein,
+bio::Sequence mutate_protein(bio::SequenceView protein,
                              const MutationConfig& config,
                              util::Xoshiro256& rng) {
   // The model object is cheap relative to mutating whole banks; rebuild
@@ -92,8 +92,8 @@ bio::Sequence mutate_protein(const bio::Sequence& protein,
     out.push_back(residue);
   }
 
-  return bio::Sequence(protein.id() + "|mut", bio::SequenceKind::kProtein,
-                       std::move(out));
+  return bio::Sequence(std::string(protein.id()) + "|mut",
+                       bio::SequenceKind::kProtein, std::move(out));
 }
 
 double expected_identity(const MutationConfig& config) {

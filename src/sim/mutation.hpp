@@ -25,9 +25,14 @@ struct MutationConfig {
 };
 
 /// Returns a mutated copy of `protein` (id gets a "|mut" suffix).
-bio::Sequence mutate_protein(const bio::Sequence& protein,
+bio::Sequence mutate_protein(bio::SequenceView protein,
                              const MutationConfig& config,
                              util::Xoshiro256& rng);
+inline bio::Sequence mutate_protein(const bio::Sequence& protein,
+                                    const MutationConfig& config,
+                                    util::Xoshiro256& rng) {
+  return mutate_protein(protein.view(), config, rng);
+}
 
 /// Expected fraction of identical residues after mutation (ignoring
 /// indels): 1 - substitution_rate * (1 - P[self-replacement]).

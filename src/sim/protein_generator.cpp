@@ -41,6 +41,7 @@ bio::Sequence generate_protein(std::string id, std::size_t length,
 bio::SequenceBank generate_protein_bank(const ProteinBankConfig& config) {
   util::Xoshiro256 rng(config.seed);
   bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  bank.reserve(config.count, config.count * config.mean_length);
   for (std::size_t i = 0; i < config.count; ++i) {
     // Right-skewed length model: exponential around the mean, clamped.
     const double u = std::max(rng.uniform(), 1e-12);

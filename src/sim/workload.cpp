@@ -92,10 +92,11 @@ PaperWorkload build_paper_workload(const ScaledWorkloadConfig& config) {
                                     bank_scale));
     const std::size_t take = std::min(scaled, all_proteins.size());
     bank.proteins = bio::SequenceBank(bio::SequenceKind::kProtein);
+    std::size_t residues = 0;
+    for (std::size_t i = 0; i < take; ++i) residues += all_proteins.length(i);
+    bank.proteins.reserve(take, residues);
     for (std::size_t i = 0; i < take; ++i) {
-      bank.proteins.add(bio::Sequence(
-          all_proteins[i].id(), bio::SequenceKind::kProtein,
-          std::vector<std::uint8_t>(all_proteins[i].residues())));
+      bank.proteins.add(all_proteins[i]);
     }
     out.banks.push_back(std::move(bank));
   }

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
+#include <string_view>
 
 #include "bio/alphabet.hpp"
 #include "store/compress.hpp"
@@ -71,7 +73,7 @@ FileHeader read_bank_header(const MmapFile& file, const std::string& path) {
 /// Serialises the bank's record stream through `write(data, size)`.
 template <typename Writer>
 void write_bank_payload(const bio::SequenceBank& bank, Writer&& write) {
-  for (const bio::Sequence& seq : bank) {
+  for (const bio::SequenceView seq : bank) {
     if (seq.id().size() > std::numeric_limits<std::uint32_t>::max() ||
         seq.size() > std::numeric_limits<std::uint32_t>::max()) {
       throw StoreError(StoreErrorCode::kIo,
@@ -179,9 +181,21 @@ bio::SequenceBank load_bank(const std::string& path, bool verify_checksum) {
                                      : bio::SequenceKind::kDna;
   const std::uint8_t limit = alphabet_limit(kind);
 
-  bio::SequenceBank bank(kind);
-  std::uint64_t cursor = 0;
+  // Every record carries two u32 lengths, its id and its residues, so a
+  // header that claims more sequences and residues than the payload could
+  // hold is corrupt; past that check it sizes the bank in one allocation
+  // per array.
   const std::uint64_t end = header.payload_bytes;
+  constexpr std::uint64_t kRecordHeader = 2 * sizeof(std::uint32_t);
+  if (header.meta[1] > end / kRecordHeader ||
+      header.meta[2] > end - header.meta[1] * kRecordHeader) {
+    throw StoreError(StoreErrorCode::kCorrupt,
+                     "bank header counts exceed the payload: " + path);
+  }
+  bio::SequenceBank bank(kind);
+  bank.reserve(header.meta[1], header.meta[2],
+               end - header.meta[1] * kRecordHeader - header.meta[2]);
+  std::uint64_t cursor = 0;
   for (std::uint64_t s = 0; s < header.meta[1]; ++s) {
     if (end - cursor < 2 * sizeof(std::uint32_t)) {
       throw StoreError(StoreErrorCode::kCorrupt,
@@ -197,10 +211,11 @@ bio::SequenceBank load_bank(const std::string& path, bool verify_checksum) {
       throw StoreError(StoreErrorCode::kCorrupt,
                        "bank record body truncated: " + path);
     }
-    std::string id(reinterpret_cast<const char*>(payload + cursor), id_bytes);
+    const std::string_view id(reinterpret_cast<const char*>(payload + cursor),
+                              id_bytes);
     cursor += id_bytes;
-    std::vector<std::uint8_t> residues(payload + cursor,
-                                       payload + cursor + residue_bytes);
+    const std::span<const std::uint8_t> residues(payload + cursor,
+                                                 residue_bytes);
     cursor += residue_bytes;
     for (const std::uint8_t code : residues) {
       if (code >= limit) {
@@ -208,7 +223,7 @@ bio::SequenceBank load_bank(const std::string& path, bool verify_checksum) {
                          "bank residue code out of alphabet: " + path);
       }
     }
-    bank.add(bio::Sequence(std::move(id), kind, std::move(residues)));
+    bank.add(bio::SequenceView(id, kind, residues));
   }
   if (cursor != end) {
     throw StoreError(StoreErrorCode::kCorrupt,

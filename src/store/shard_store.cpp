@@ -21,7 +21,7 @@ std::uint64_t kind_code(bio::SequenceKind kind) {
 }
 
 /// The record's size inside a .pscbank payload (see bank_store.hpp).
-std::uint64_t encoded_record_bytes(const bio::Sequence& seq) {
+std::uint64_t encoded_record_bytes(bio::SequenceView seq) {
   return 2 * sizeof(std::uint32_t) + seq.id().size() + seq.size();
 }
 

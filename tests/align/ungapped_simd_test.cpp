@@ -122,13 +122,16 @@ index::WindowBatch random_batch(std::size_t count, std::size_t length,
                                 std::uint64_t code_bound,
                                 util::Xoshiro256& rng,
                                 bio::SequenceBank& bank) {
-  index::WindowBatch batch(length);
+  // The whole bank first: adding to it moves the arena the windows view.
+  const std::size_t first = bank.size();
   for (std::size_t i = 0; i < count; ++i) {
     std::vector<std::uint8_t> residues(length);
     for (auto& r : residues) r = static_cast<std::uint8_t>(rng.bounded(code_bound));
     bank.add(bio::Sequence("s", bio::SequenceKind::kProtein, residues));
-    batch.append(bank,
-                 index::Occurrence{static_cast<std::uint32_t>(bank.size() - 1), 0},
+  }
+  index::WindowBatch batch(length);
+  for (std::size_t i = first; i < bank.size(); ++i) {
+    batch.append(bank, index::Occurrence{static_cast<std::uint32_t>(i), 0},
                  index::WindowShape{length, 0});
   }
   return batch;
@@ -402,14 +405,16 @@ TEST(UngappedSimd, SaturatedLanesAreRescoredExactly) {
         bio::SubstitutionMatrix::identity(100, -100);
     const std::size_t len = 300;
     ASSERT_TRUE(simd_kernel_applicable(m, 38));
-    const index::WindowShape shape{4, (len - 4) / 2};
+    // Whole 300-residue stretches as windows: the flank a seed window
+    // would need is wider than the bank's padding.
+    const index::WindowShape shape{len, 0};
     bio::SequenceBank bank(bio::SequenceKind::kProtein);
     util::Xoshiro256 rng(5);
     bank.add(sim::generate_protein("p", 2 * len, rng));
     index::WindowBatch one(shape.length());
-    one.append(bank, index::Occurrence{0, len}, shape);
+    one.append(bank, index::Occurrence{0, 152}, shape);
     index::WindowBatch batch(shape.length());
-    batch.append(bank, index::Occurrence{0, len}, shape);  // identical: peak
+    batch.append(bank, index::Occurrence{0, 152}, shape);  // identical: peak
     for (std::uint32_t i = 0; i < 17; ++i) {
       batch.append(bank, index::Occurrence{0, 30 + 11 * i}, shape);
     }
@@ -494,7 +499,6 @@ TEST(UngappedSimd, ScreenPlusRescoreEqualsScalarOnRandomMatrices) {
               r = static_cast<std::uint8_t>(rng.bounded(bound0));
             }
             if (!encoded) window0[0] = 255;  // one out-of-alphabet code
-            index::WindowBatch batch(length);
             for (std::size_t i = 0; i < count; ++i) {
               std::vector<std::uint8_t> residues(length);
               for (std::size_t k = 0; k < length; ++k) {
@@ -505,9 +509,11 @@ TEST(UngappedSimd, ScreenPlusRescoreEqualsScalarOnRandomMatrices) {
               }
               bank.add(
                   bio::Sequence("s", bio::SequenceKind::kProtein, residues));
-              batch.append(bank,
-                           index::Occurrence{
-                               static_cast<std::uint32_t>(bank.size() - 1), 0},
+            }
+            // Windows only once the bank is whole: adding moves the arena.
+            index::WindowBatch batch(length);
+            for (std::uint32_t i = 0; i < count; ++i) {
+              batch.append(bank, index::Occurrence{i, 0},
                            index::WindowShape{length, 0});
             }
             std::vector<int> scalar;

@@ -110,56 +110,6 @@ TEST(UngappedOneVsMany, LengthMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(UngappedAllPairs, EmitsOnlyAboveThreshold) {
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  const index::WindowShape shape{4, 2};
-  bio::SequenceBank bank(bio::SequenceKind::kProtein);
-  bank.add(bio::Sequence::protein_from_letters("a", "MKVLARND"));
-  bank.add(bio::Sequence::protein_from_letters("b", "MKVLARND"));
-  bank.add(bio::Sequence::protein_from_letters("c", "GGGGGGGG"));
-
-  index::WindowBatch batch0(shape.length());
-  batch0.append(bank, index::Occurrence{0, 2}, shape);
-  index::WindowBatch batch1(shape.length());
-  batch1.append(bank, index::Occurrence{1, 2}, shape);
-  batch1.append(bank, index::Occurrence{2, 2}, shape);
-
-  std::vector<std::tuple<std::size_t, std::size_t, int>> emitted;
-  ungapped_score_all_pairs(batch0, batch1, m, 20,
-                           [&](std::size_t i0, std::size_t i1, int score) {
-                             emitted.emplace_back(i0, i1, score);
-                           });
-  ASSERT_EQ(emitted.size(), 1u);  // only the identical window passes
-  EXPECT_EQ(std::get<1>(emitted[0]), 0u);
-  EXPECT_GE(std::get<2>(emitted[0]), 20);
-}
-
-TEST(UngappedAllPairs, AgreesWithScalarOnRandomData) {
-  util::Xoshiro256 rng(77);
-  const auto& m = bio::SubstitutionMatrix::blosum62();
-  const index::WindowShape shape{4, 8};
-
-  bio::SequenceBank bank(bio::SequenceKind::kProtein);
-  bank.add(sim::generate_protein("x", 100, rng));
-
-  index::WindowBatch batch0(shape.length());
-  index::WindowBatch batch1(shape.length());
-  for (std::uint32_t pos = 0; pos < 60; pos += 11) {
-    batch0.append(bank, index::Occurrence{0, pos}, shape);
-    batch1.append(bank, index::Occurrence{0, pos + 13}, shape);
-  }
-
-  std::size_t pairs = 0;
-  ungapped_score_all_pairs(
-      batch0, batch1, m, -1000,
-      [&](std::size_t i0, std::size_t i1, int score) {
-        EXPECT_EQ(score,
-                  ungapped_window_score(batch0.window(i0), batch1.window(i1), m));
-        ++pairs;
-      });
-  EXPECT_EQ(pairs, batch0.size() * batch1.size());
-}
-
 TEST(UngappedBlocked, MatchesScalarOnAllBatchSizes) {
   // Batch sizes straddling the 4-wide block: remainder handling matters.
   util::Xoshiro256 rng(8);

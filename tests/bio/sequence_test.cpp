@@ -79,5 +79,76 @@ TEST(SequenceBank, IterationVisitsAll) {
   EXPECT_EQ(count, 2u);
 }
 
+TEST(SequenceBank, MembersAreViewsOfOneArena) {
+  SequenceBank bank(SequenceKind::kProtein);
+  bank.add(Sequence::protein_from_letters("a", "ARN"));
+  bank.add(Sequence::protein_from_letters("b", ""));
+  bank.add(Sequence::protein_from_letters("c", "MKVL"));
+  EXPECT_EQ(bank.id(0), "a");
+  EXPECT_EQ(bank.id(1), "b");
+  EXPECT_EQ(bank[2].id(), "c");
+  EXPECT_EQ(bank[2].to_letters(), "MKVL");
+  EXPECT_TRUE(bank[1].empty());
+  EXPECT_EQ(bank.length(2), 4u);
+  // Every sequence sits kPadding X residues after the previous one ends.
+  EXPECT_EQ(bank.start(0), SequenceBank::kPadding);
+  EXPECT_EQ(bank.start(1), bank.start(0) + 3 + SequenceBank::kPadding);
+  EXPECT_EQ(bank.start(2), bank.start(1) + SequenceBank::kPadding);
+  EXPECT_EQ(bank.residues(2).data(), bank.arena() + bank.start(2));
+  EXPECT_EQ(bank.arena()[bank.start(2) - 1], kUnknownX);
+  EXPECT_EQ(bank.arena()[bank.start(2) + 4 + SequenceBank::kPadding - 1],
+            kUnknownX);
+}
+
+TEST(SequenceBank, DnaIsPaddedWithN) {
+  SequenceBank bank(SequenceKind::kDna);
+  bank.add(Sequence::dna_from_letters("d", "ACGT"));
+  EXPECT_EQ(bank.arena()[0], kNucleotideN);
+  EXPECT_EQ(bank.arena()[bank.start(0) + 4], kNucleotideN);
+}
+
+TEST(SequenceBank, ViewsConvertToOwningSequences) {
+  SequenceBank bank(SequenceKind::kProtein);
+  bank.add(Sequence::protein_from_letters("a", "ARND"));
+  const Sequence copy = bank[0];
+  EXPECT_EQ(copy.id(), "a");
+  EXPECT_EQ(copy.to_letters(), "ARND");
+  EXPECT_NE(copy.data(), bank[0].data());
+  EXPECT_EQ(copy.residues(), bank[0].residues());
+  EXPECT_EQ(bank[0].subsequence(1, 2).to_letters(), "RN");
+}
+
+TEST(SequenceBank, AddingAViewOfItselfSurvivesGrowth) {
+  // Each add may move the arena and the ids the view points into.
+  SequenceBank bank(SequenceKind::kProtein);
+  bank.add(Sequence::protein_from_letters("seed-with-a-long-id", "MKVLARND"));
+  for (int i = 0; i < 200; ++i) bank.add(bank[bank.size() - 1]);
+  EXPECT_EQ(bank.size(), 201u);
+  EXPECT_EQ(bank.id(200), "seed-with-a-long-id");
+  EXPECT_EQ(bank[200].to_letters(), "MKVLARND");
+  EXPECT_EQ(bank.total_residues(), 201u * 8);
+}
+
+TEST(SequenceBank, ReserveKeepsTheArenaInPlace) {
+  SequenceBank bank(SequenceKind::kProtein);
+  bank.reserve(3, 12);
+  bank.add(Sequence::protein_from_letters("a", "ARND"));
+  const std::uint8_t* arena = bank.arena();
+  bank.add(Sequence::protein_from_letters("b", "ARND"));
+  bank.add(Sequence::protein_from_letters("c", "ARND"));
+  EXPECT_EQ(bank.arena(), arena);
+}
+
+TEST(SequenceBank, MutableResiduesEditInPlaceAndKeepLength) {
+  SequenceBank bank(SequenceKind::kProtein);
+  bank.add(Sequence::protein_from_letters("a", "ARND"));
+  bank.add(Sequence::protein_from_letters("b", "MKVL"));
+  const auto residues = bank.mutable_residues(1);
+  ASSERT_EQ(residues.size(), 4u);
+  residues[0] = encode_protein('W');
+  EXPECT_EQ(bank[1].to_letters(), "WKVL");
+  EXPECT_EQ(bank[0].to_letters(), "ARND");
+}
+
 }  // namespace
 }  // namespace psc::bio

@@ -127,5 +127,20 @@ TEST(HybridPipeline, ForcesSingleFpgaForPsc) {
   EXPECT_GT(hybrid.psc_stats.cycles_total(), 0u);
 }
 
+TEST(HybridPipeline, GapWindowFlankBeyondTheBankPaddingThrows) {
+  // The 128-residue default window has a flank of 62; the gapped windows
+  // are read in place, so a flank past the arena padding is refused.
+  const TestData data(5);
+  const bio::SequenceBank genome_bank =
+      bio::frames_to_bank(bio::translate_six_frames(data.genome));
+  HybridOptions options = make_options();
+  const std::size_t width = options.base.shape.seed_width;
+  options.gap.window_length = width + 2 * bio::SequenceBank::kPadding;
+  EXPECT_NO_THROW(run_hybrid_pipeline(data.proteins, genome_bank, options));
+  options.gap.window_length = width + 2 * (bio::SequenceBank::kPadding + 1);
+  EXPECT_THROW(run_hybrid_pipeline(data.proteins, genome_bank, options),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace psc::core

@@ -54,6 +54,16 @@ TEST(PipelineOptions, ZeroSeedWidthThrows) {
   EXPECT_THROW(options.validate(), std::invalid_argument);
 }
 
+TEST(PipelineOptions, FlankBeyondTheBankPaddingThrows) {
+  // Windows are read in place from the banks' padded arenas, so the
+  // flank may reach the padding but not pass it.
+  PipelineOptions options;
+  options.shape.flank = bio::SequenceBank::kPadding;
+  EXPECT_NO_THROW(options.validate());
+  options.shape.flank = bio::SequenceBank::kPadding + 1;
+  EXPECT_THROW(options.validate(), std::invalid_argument);
+}
+
 TEST(PipelineOptions, SetThreadsMapsBothStages) {
   PipelineOptions options;
   options.set_threads(5);

@@ -165,9 +165,9 @@ TEST(Pipeline, MorePesReduceModeledStep2TimeWhenListsAreLong) {
   const TestBanks banks(6, 5, 40000);
   bio::SequenceBank dense(bio::SequenceKind::kProtein);
   for (int copy = 0; copy < 50; ++copy) {
-    dense.add(bio::Sequence(
-        "c" + std::to_string(copy), bio::SequenceKind::kProtein,
-        std::vector<std::uint8_t>(banks.proteins[0].residues())));
+    dense.add(bio::SequenceView("c" + std::to_string(copy),
+                                bio::SequenceKind::kProtein,
+                                banks.proteins.residues(0)));
   }
   PipelineOptions small;
   small.backend = Step2Backend::kRasc;

@@ -27,10 +27,8 @@ struct TestBanks {
       bank1.add(sim::generate_protein("b" + std::to_string(i), 130, rng));
     }
     // Guarantee a strong shared region.
-    bio::Sequence& target = bank1.mutable_sequence(0);
-    for (std::size_t k = 0; k < 30; ++k) {
-      target.mutable_residues()[40 + k] = bank0[0][20 + k];
-    }
+    const auto target = bank1.mutable_residues(0);
+    for (std::size_t k = 0; k < 30; ++k) target[40 + k] = bank0[0][20 + k];
   }
 };
 

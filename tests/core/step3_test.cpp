@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/result_codec.hpp"
 #include "sim/mutation.hpp"
 #include "sim/protein_generator.hpp"
 
@@ -155,6 +156,59 @@ TEST(Step3, ParallelMatchesSequential) {
       EXPECT_EQ(a.matches[i].bank0_sequence, b.matches[i].bank0_sequence);
       EXPECT_EQ(a.matches[i].alignment.score, b.matches[i].alignment.score);
       EXPECT_DOUBLE_EQ(a.matches[i].e_value, b.matches[i].e_value);
+    }
+  }
+}
+
+TEST(Step3, LargeHitSetsOrderTheSameInAnyInputOrderAndThreadCount) {
+  // Enough hits for the parallel ordering (buckets of bank-0 sequences
+  // sorted on the executor): the result must equal the serial sort's,
+  // whatever order step 2 delivered the hits in.
+  util::Xoshiro256 rng(91);
+  bio::SequenceBank bank0(bio::SequenceKind::kProtein);
+  bio::SequenceBank bank1(bio::SequenceKind::kProtein);
+  constexpr std::uint32_t kPairs = 8;
+  constexpr std::uint32_t kLength = 150;
+  sim::MutationConfig divergence;
+  divergence.substitution_rate = 0.25;
+  divergence.indel_rate = 0.0;
+  for (std::uint32_t p = 0; p < kPairs; ++p) {
+    const bio::Sequence ancestor =
+        sim::generate_protein("anc" + std::to_string(p), kLength, rng);
+    bank0.add(ancestor);
+    bank1.add(sim::mutate_protein(ancestor, divergence, rng));
+  }
+  std::vector<align::SeedPairHit> hits;
+  while (hits.size() < 20000) {
+    const auto seq0 = static_cast<std::uint32_t>(rng.bounded(kPairs));
+    const auto seq1 = rng.chance(0.7)
+                          ? seq0
+                          : static_cast<std::uint32_t>(rng.bounded(kPairs));
+    const auto offset0 = static_cast<std::uint32_t>(rng.bounded(kLength - 4));
+    const auto offset1 = static_cast<std::uint32_t>(rng.bounded(kLength - 4));
+    // Few distinct scores, so the offsets break many ties.
+    const int score = 38 + static_cast<int>(rng.bounded(4));
+    hits.push_back(
+        align::SeedPairHit{{seq0, offset0}, {seq1, offset1}, score});
+  }
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  PipelineOptions sequential;
+  sequential.step3_threads = 1;
+  const Step3Result reference =
+      run_step3(bank0, bank1, hits, matrix, sequential);
+  ASSERT_FALSE(reference.matches.empty());
+
+  std::vector<align::SeedPairHit> reversed(hits.rbegin(), hits.rend());
+  for (const std::size_t threads : {2u, 4u}) {
+    PipelineOptions parallel;
+    parallel.step3_threads = threads;
+    for (const auto* input : {&hits, &reversed}) {
+      const Step3Result result =
+          run_step3(bank0, bank1, *input, matrix, parallel);
+      EXPECT_EQ(result.extensions, reference.extensions) << threads;
+      EXPECT_EQ(encode_matches(result.matches),
+                encode_matches(reference.matches))
+          << threads;
     }
   }
 }

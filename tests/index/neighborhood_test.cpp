@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -84,28 +86,58 @@ TEST(WindowBatch, ClearResets) {
   batch.append(bank, Occurrence{0, 0}, shape);
   batch.clear();
   EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.flat().size(), 0u);
+  EXPECT_EQ(batch.size(), 0u);
 }
 
-TEST(WindowBatch, AssignCopiesSubRange) {
+TEST(WindowBatch, WindowsPointIntoTheArena) {
+  const auto bank = one_protein("MKVLARNDCQEGHILK");
+  const WindowShape shape{4, 3};
+  WindowBatch batch(shape.length());
+  batch.append(bank, Occurrence{0, 5}, shape);
+  EXPECT_EQ(batch.window(0).data(), bank.arena() + bank.start(0) + 5 - 3);
+}
+
+TEST(WindowBatch, SubspanViewsSubRange) {
   const auto bank = one_protein("MKVLARNDCQEGHILK");
   const WindowShape shape{4, 0};
   WindowBatch all(shape.length());
   for (std::uint32_t p = 0; p < 4; ++p) {
     all.append(bank, Occurrence{0, 4 * p}, shape);
   }
-  WindowBatch tile(shape.length());
-  tile.append(bank, Occurrence{0, 1}, shape);  // replaced, not appended to
-  tile.assign(all, 1, 2);
+  const WindowSpan tile = all.subspan(1, 2);
   ASSERT_EQ(tile.size(), 2u);
+  EXPECT_EQ(tile.window_length(), all.window_length());
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(tile.source(i).offset, all.source(1 + i).offset);
-    EXPECT_TRUE(std::equal(tile.window(i).begin(), tile.window(i).end(),
-                           all.window(1 + i).begin()));
+    EXPECT_EQ(tile.window(i).data(), all.window(1 + i).data());
   }
-  EXPECT_THROW(tile.assign(all, 3, 2), std::out_of_range);
-  WindowBatch other_length(shape.length() + 1);
-  EXPECT_THROW(other_length.assign(all, 0, 1), std::invalid_argument);
+  EXPECT_EQ(all.subspan(4, 0).size(), 0u);
+  EXPECT_THROW(all.subspan(3, 2), std::out_of_range);
+  EXPECT_THROW(tile.subspan(1, 2), std::out_of_range);
+}
+
+TEST(WindowBatch, FlankAboveThePaddingThrows) {
+  const auto bank = one_protein("MKVLARNDCQEGHILK");
+  constexpr std::size_t kPad = bio::SequenceBank::kPadding;
+  const WindowShape wide{4, kPad + 1};
+  WindowBatch batch(wide.length());
+  EXPECT_THROW(batch.append(bank, Occurrence{0, 0}, wide),
+               std::invalid_argument);
+  EXPECT_THROW(extract_windows(bank, std::vector<Occurrence>{{0, 0}}, wide,
+                               batch),
+               std::invalid_argument);
+}
+
+TEST(WindowBatch, WindowPastThePaddingThrows) {
+  const auto bank = one_protein("MKVLARND");  // 8 residues
+  const WindowShape shape{4, 3};
+  WindowBatch batch(shape.length());
+  // offset + W + flank may reach length + pad, not beyond.
+  batch.append(bank, Occurrence{0, 8 + 64 - 7}, shape);
+  EXPECT_THROW(batch.append(bank, Occurrence{0, 8 + 64 - 6}, shape),
+               std::out_of_range);
+  EXPECT_THROW(batch.append(bank, Occurrence{1, 0}, shape),
+               std::out_of_range);
 }
 
 TEST(ExtractWindows, ExtractsAllOccurrences) {
@@ -115,7 +147,10 @@ TEST(ExtractWindows, ExtractsAllOccurrences) {
   WindowBatch batch(shape.length());
   extract_windows(bank, list, shape, batch);
   ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.flat().size(), 3u * shape.length());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch.window(i).size(), shape.length());
+    EXPECT_EQ(batch.source(i), list[i]);
+  }
 }
 
 TEST(ExtractWindows, IdenticalContextsGiveIdenticalWindows) {
@@ -142,25 +177,32 @@ TEST(ExtractWindows, TinySequenceIsAllPadsAroundSeed) {
   EXPECT_EQ(window[8], bank[0][3]);
 }
 
-/// Per-residue definition of a window: position i reads sequence residue
-/// offset - flank + i, or X where that falls outside the sequence.
-std::vector<std::uint8_t> reference_window(const bio::Sequence& seq,
-                                           std::uint32_t offset,
-                                           const WindowShape& shape) {
-  std::vector<std::uint8_t> window(shape.length(), bio::kUnknownX);
+/// The oracle: the clamp-and-fill copy WindowBatch::append made before
+/// windows were read in place. Window positions inside the sequence are
+/// copied in one piece, X fills what falls off either end, and a window
+/// wholly past the end is all X.
+std::vector<std::uint8_t> clamp_and_fill(bio::SequenceView seq,
+                                         std::uint32_t offset,
+                                         const WindowShape& shape) {
+  const auto length = static_cast<std::int64_t>(shape.length());
   const std::int64_t begin = static_cast<std::int64_t>(offset) -
                              static_cast<std::int64_t>(shape.flank);
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const std::int64_t p = begin + static_cast<std::int64_t>(i);
-    if (p >= 0 && p < static_cast<std::int64_t>(seq.size())) {
-      window[i] = seq[static_cast<std::size_t>(p)];
-    }
+  const std::int64_t lo = std::clamp<std::int64_t>(-begin, 0, length);
+  const std::int64_t hi = std::clamp<std::int64_t>(
+      static_cast<std::int64_t>(seq.size()) - begin, lo, length);
+  std::vector<std::uint8_t> window(shape.length());
+  std::uint8_t* dst = window.data();
+  std::fill(dst, dst + lo, bio::kUnknownX);
+  if (hi > lo) {
+    std::memcpy(dst + lo, seq.data() + (begin + lo),
+                static_cast<std::size_t>(hi - lo));
   }
+  std::fill(dst + hi, dst + length, bio::kUnknownX);
   return window;
 }
 
-/// extract_windows and append must both equal the per-residue reference,
-/// window by window, with sources in list order.
+/// extract_windows and append must both equal the clamp-and-fill oracle,
+/// byte for byte, with sources in list order.
 void expect_matches_reference(const bio::SequenceBank& bank,
                               const std::vector<Occurrence>& list,
                               const WindowShape& shape, const char* label) {
@@ -169,14 +211,15 @@ void expect_matches_reference(const bio::SequenceBank& bank,
   WindowBatch appended(shape.length());
   for (const Occurrence& occ : list) appended.append(bank, occ, shape);
   ASSERT_EQ(extracted.size(), list.size()) << label;
-  ASSERT_EQ(extracted.flat().size(), list.size() * shape.length()) << label;
-  EXPECT_EQ(extracted.flat(), appended.flat()) << label;
+  ASSERT_EQ(appended.size(), list.size()) << label;
   for (std::size_t i = 0; i < list.size(); ++i) {
     const auto expected =
-        reference_window(bank[list[i].sequence], list[i].offset, shape);
+        clamp_and_fill(bank[list[i].sequence], list[i].offset, shape);
     const auto window = extracted.window(i);
     EXPECT_TRUE(std::equal(window.begin(), window.end(), expected.begin(),
                            expected.end()))
+        << label << " window " << i;
+    EXPECT_TRUE(std::ranges::equal(appended.window(i), window))
         << label << " window " << i;
     EXPECT_EQ(extracted.source(i).sequence, list[i].sequence) << label;
     EXPECT_EQ(extracted.source(i).offset, list[i].offset) << label;
@@ -237,7 +280,6 @@ TEST(ExtractWindows, EmptyListClearsBatch) {
   extract_windows(bank, std::vector<Occurrence>{{0, 3}}, shape, batch);
   extract_windows(bank, {}, shape, batch);
   EXPECT_TRUE(batch.empty());
-  EXPECT_TRUE(batch.flat().empty());
 }
 
 TEST(ExtractWindows, ShapeMismatchThrows) {
@@ -246,6 +288,75 @@ TEST(ExtractWindows, ShapeMismatchThrows) {
   EXPECT_THROW(extract_windows(bank, std::vector<Occurrence>{{0, 3}},
                                WindowShape{4, 2}, batch),
                std::invalid_argument);
+}
+
+/// A bank whose arena has every kind of edge: a first and a last
+/// sequence, an empty sequence between two others, and a sequence
+/// shorter than the seed's flanks.
+bio::SequenceBank edge_bank() {
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  bank.add(bio::Sequence::protein_from_letters(
+      "first", "MKVLARNDCQEGHILKMFPSTWYVMKVLARNDCQEGHILKMFPSTWYV"));
+  bank.add(bio::Sequence::protein_from_letters("before-empty", "ARNDCQEGHI"));
+  bank.add(bio::Sequence::protein_from_letters("empty", ""));
+  bank.add(bio::Sequence::protein_from_letters("after-empty", "WYVSTPFMKL"));
+  bank.add(bio::Sequence::protein_from_letters("short", "MKVLA"));
+  bank.add(bio::Sequence::protein_from_letters(
+      "last", "LKMFPSTWYVMKVLARNDCQEGHILKMFPSTWYVARND"));
+  return bank;
+}
+
+/// Every word start of every sequence of `bank`.
+std::vector<Occurrence> every_word(const bio::SequenceBank& bank,
+                                   std::size_t seed_width) {
+  std::vector<Occurrence> list;
+  for (std::uint32_t s = 0; s < bank.size(); ++s) {
+    for (std::uint32_t o = 0; o + seed_width <= bank.length(s); ++o) {
+      list.push_back({s, o});
+    }
+  }
+  return list;
+}
+
+TEST(ExtractWindows, ArenaEdgesMatchClampAndFill) {
+  // Windows at the first and last residue of the first and last
+  // sequence and on both sides of the empty one, up to flank = pad.
+  const auto bank = edge_bank();
+  for (const std::size_t flank : {0, 1, 30, 60, 62, 63, 64}) {
+    const WindowShape shape{4, flank};
+    const std::vector<Occurrence> list = {
+        {0, 0},  {0, 44}, {1, 0}, {1, 6},  {3, 0},
+        {3, 6},  {4, 0},  {4, 1}, {5, 0},  {5, 34}};
+    expect_matches_reference(bank, list, shape, "edges");
+  }
+}
+
+TEST(ExtractWindows, EveryWordOfEveryShapeMatchesClampAndFill) {
+  const auto bank = edge_bank();
+  for (const std::size_t width : {1, 3, 4}) {
+    for (const std::size_t flank : {0, 7, 30, 64}) {
+      expect_matches_reference(bank, every_word(bank, width),
+                               WindowShape{width, flank}, "every word");
+    }
+  }
+}
+
+TEST(ExtractWindows, ArenaPadsEverySequenceWithX) {
+  const auto bank = edge_bank();
+  constexpr std::size_t kPad = bio::SequenceBank::kPadding;
+  const std::uint8_t* arena = bank.arena();
+  EXPECT_EQ(bank.start(0), kPad);
+  for (std::size_t s = 0; s < bank.size(); ++s) {
+    for (std::size_t k = 1; k <= kPad; ++k) {
+      EXPECT_EQ(arena[bank.start(s) - k], bio::kUnknownX) << s;
+      EXPECT_EQ(arena[bank.start(s) + bank.length(s) + k - 1], bio::kUnknownX)
+          << s;
+    }
+    EXPECT_TRUE(std::ranges::equal(
+        std::span(arena + bank.start(s), bank.length(s)), bank.residues(s)));
+  }
+  EXPECT_EQ(bank.length(2), 0u);
+  EXPECT_EQ(bank.start(3), bank.start(2) + kPad);
 }
 
 }  // namespace

@@ -83,16 +83,12 @@ TEST(BackendEquivalence, CycleExactEngineAgreesOnSmallerSlice) {
   bio::SequenceBank small0(bio::SequenceKind::kProtein);
   for (std::size_t i = 0; i < std::min<std::size_t>(3, fixture.bank0.size());
        ++i) {
-    small0.add(bio::Sequence(
-        fixture.bank0[i].id(), bio::SequenceKind::kProtein,
-        std::vector<std::uint8_t>(fixture.bank0[i].residues())));
+    small0.add(fixture.bank0[i]);
   }
   bio::SequenceBank small1(bio::SequenceKind::kProtein);
   for (std::size_t i = 0; i < std::min<std::size_t>(60, fixture.bank1.size());
        ++i) {
-    small1.add(bio::Sequence(
-        fixture.bank1[i].id(), bio::SequenceKind::kProtein,
-        std::vector<std::uint8_t>(fixture.bank1[i].residues())));
+    small1.add(fixture.bank1[i]);
   }
   const index::IndexTable t0(small0, fixture.model);
   const index::IndexTable t1(small1, fixture.model);

@@ -22,18 +22,28 @@ sim::PaperWorkload tiny_workload() {
   return sim::build_paper_workload(config);
 }
 
-TEST(EndToEnd, SoftwareProfileIsStep2Dominated) {
+TEST(EndToEnd, SoftwareWorkIsStep2Dominated) {
   // Table 1's premise: ungapped extension dominates the software run.
   // Like the table benches, the coarse seed keeps index-list depth (and
   // hence the step-2 share) in the paper's regime at this tiny scale.
+  // The check counts work rather than timing it, so machine load cannot
+  // flip it; the measured profile is bench/table1_sw_profile's job.
   const sim::PaperWorkload workload = tiny_workload();
   core::PipelineOptions options;
   options.seed_model = core::SeedModelKind::kSubsetW4Coarse;
   options.backend = core::Step2Backend::kHostSequential;
   const core::PipelineResult result = core::run_pipeline(
       workload.banks.back().proteins, workload.genome_bank, options);
-  EXPECT_GT(result.times.step2_ungapped,
-            result.times.step1_index + result.times.step3_gapped);
+  const core::PipelineCounters& counters = result.counters;
+  // Step 1 touches each indexed word once; each gapped extension is
+  // charged a generous window-squared DP area.
+  const std::uint64_t window = options.shape.length();
+  const std::uint64_t step1_work =
+      counters.bank0_occurrences + counters.bank1_occurrences;
+  const std::uint64_t step3_work =
+      counters.step3_extensions * window * window;
+  EXPECT_GT(counters.step3_extensions, 0u);
+  EXPECT_GT(counters.step2_cells, 10 * (step1_work + step3_work));
 }
 
 TEST(EndToEnd, UtilizationGrowsWithBankSize) {
@@ -50,6 +60,10 @@ TEST(EndToEnd, UtilizationGrowsWithBankSize) {
   EXPECT_GT(large.operator_stats.utilization(),
             small.operator_stats.utilization());
 }
+
+/// Reference speed of one scalar host core on step 2: about one
+/// substitution cell per nanosecond.
+constexpr double kHostCellsPerSecond = 1e9;
 
 TEST(EndToEnd, RascStep2BeatsHostWhenArrayIsFilled) {
   // The core speedup claim, at model level. A fully utilized 192-PE array
@@ -71,9 +85,9 @@ TEST(EndToEnd, RascStep2BeatsHostWhenArrayIsFilled) {
   sim::MutationConfig divergence;
   divergence.substitution_rate = 0.2;
   for (int copy = 0; copy < 100; ++copy) {
-    dense.add(bio::Sequence("c" + std::to_string(copy),
-                            bio::SequenceKind::kProtein,
-                            std::vector<std::uint8_t>(source.residues())));
+    dense.add(bio::SequenceView("c" + std::to_string(copy),
+                                bio::SequenceKind::kProtein,
+                                source.residues()));
     targets.add(sim::mutate_protein(source, divergence, rng));
   }
 
@@ -95,9 +109,13 @@ TEST(EndToEnd, RascStep2BeatsHostWhenArrayIsFilled) {
   ASSERT_EQ(host_result.matches.size(), rasc_result.matches.size());
   // ...high array utilization by construction...
   EXPECT_GT(rasc_result.operator_stats.utilization(), 0.5);
-  // ...and modeled compute time beating the measured host kernel.
+  // ...and modeled compute time beating a host core's step 2, priced at
+  // a fixed kHostCellsPerSecond rather than timed, so neither load nor a
+  // faster host kernel decides the test.
   EXPECT_LT(rasc_result.fpga_reports[0].compute_seconds,
-            host_result.times.step2_ungapped);
+            static_cast<double>(host_result.counters.step2_cells) /
+                kHostCellsPerSecond);
+
 }
 
 TEST(EndToEnd, QualityBenchmarkProducesRankableResults) {

@@ -37,6 +37,7 @@
 #include "store/shard_store.hpp"
 #include "support/temp_dir.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace psc::net {
 namespace {
@@ -331,15 +332,33 @@ TEST_F(LoopbackTest, ConcurrentClientsCoalesceIntoOneBatch) {
 
   // A deliberately heavy in-process submit keeps the single worker busy;
   // the two remote searches below arrive meanwhile and must come out of
-  // one shared pass (batches < queries in the stats frame).
+  // one shared pass (batches < queries in the stats frame). How long a
+  // pass of a given size keeps the worker busy depends on the pipeline's
+  // speed, so the priming bank doubles until one pass takes at least
+  // kPrimingSeconds instead of having a fixed size.
+  constexpr double kPrimingSeconds = 0.05;
   bio::SequenceBank heavy(bio::SequenceKind::kProtein);
   for (int repeat = 0; repeat < 8; ++repeat) {
-    for (const bio::Sequence& protein : saved.proteins) heavy.add(protein);
+    for (const bio::SequenceView protein : saved.proteins) heavy.add(protein);
+  }
+  for (int doubling = 0; doubling < 8; ++doubling) {
+    util::Timer timer;
+    service_->submit(heavy, saved.prefix).get();
+    if (timer.seconds() >= kPrimingSeconds) break;
+    const std::size_t copies = heavy.size();
+    for (std::size_t i = 0; i < copies; ++i) heavy.add(heavy[i]);
   }
 
   bool coalesced = false;
   for (int attempt = 0; attempt < 5 && !coalesced; ++attempt) {
+    // The clients start only once the worker has picked the priming
+    // group: a worker that wakes late would otherwise drain the priming
+    // request together with theirs into one pass of three.
+    const std::uint64_t rounds = service_->snapshot().scheduler_rounds;
     auto priming = service_->submit(heavy, saved.prefix);
+    while (service_->snapshot().scheduler_rounds == rounds) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     service::QueryResult a, b;
     std::thread first([&] {
       Client client = connect();

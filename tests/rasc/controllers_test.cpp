@@ -5,23 +5,28 @@
 namespace psc::rasc {
 namespace {
 
-index::WindowBatch make_batch(std::initializer_list<const char*> windows) {
-  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+/// Windows of equal length, each a whole sequence of `bank` (which the
+/// batch views, so it must outlive it).
+index::WindowBatch make_batch(bio::SequenceBank& bank,
+                              std::initializer_list<const char*> windows) {
   std::size_t length = 0;
   for (const char* w : windows) length = std::string(w).size();
-  index::WindowBatch batch(length);
-  index::WindowShape shape{length, 0};
-  std::uint32_t i = 0;
+  const std::size_t first = bank.size();
   for (const char* w : windows) {
-    bank.add(bio::Sequence::protein_from_letters("w" + std::to_string(i), w));
-    batch.append(bank, index::Occurrence{i, 0}, shape);
-    ++i;
+    bank.add(bio::Sequence::protein_from_letters(
+        "w" + std::to_string(bank.size()), w));
+  }
+  index::WindowBatch batch(length);
+  for (std::size_t i = first; i < bank.size(); ++i) {
+    batch.append(bank, index::Occurrence{static_cast<std::uint32_t>(i), 0},
+                 index::WindowShape{length, 0});
   }
   return batch;
 }
 
 TEST(InputController, StreamsResiduesInOrder) {
-  const auto batch = make_batch({"MKVL"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MKVL"});
   InputController controller(batch);
   std::string streamed;
   while (auto emission = controller.next()) {
@@ -32,7 +37,8 @@ TEST(InputController, StreamsResiduesInOrder) {
 }
 
 TEST(InputController, MarksWindowBoundaries) {
-  const auto batch = make_batch({"MKVL", "ARND"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MKVL", "ARND"});
   InputController controller(batch);
   std::vector<bool> completes;
   std::vector<std::uint32_t> indices;
@@ -49,7 +55,8 @@ TEST(InputController, MarksWindowBoundaries) {
 }
 
 TEST(InputController, RestrictLimitsStream) {
-  const auto batch = make_batch({"MKVL", "ARND", "CQEG"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MKVL", "ARND", "CQEG"});
   InputController controller(batch);
   controller.restrict(1, 1);
   std::string streamed;
@@ -61,7 +68,8 @@ TEST(InputController, RestrictLimitsStream) {
 }
 
 TEST(InputController, RewindReplaysStream) {
-  const auto batch = make_batch({"MK"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MK"});
   // Window length 2 here; make_batch uses last window's length -- both 2.
   InputController controller(batch);
   int first_count = 0;
@@ -73,13 +81,15 @@ TEST(InputController, RewindReplaysStream) {
 }
 
 TEST(InputController, RestrictPastEndThrows) {
-  const auto batch = make_batch({"MKVL"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MKVL"});
   InputController controller(batch);
   EXPECT_THROW(controller.restrict(2, 1), std::out_of_range);
 }
 
 TEST(InputController, RestrictCountClampsToBatch) {
-  const auto batch = make_batch({"MKVL", "ARND"});
+  bio::SequenceBank bank(bio::SequenceKind::kProtein);
+  const auto batch = make_batch(bank, {"MKVL", "ARND"});
   InputController controller(batch);
   controller.restrict(1, 100);
   int windows = 0;

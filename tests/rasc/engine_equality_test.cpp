@@ -124,8 +124,7 @@ TEST(BatchEngineEquality, RecordsEqualCycleExactEngine) {
           SCOPED_TRACE(matrix->name() + " pes=" + std::to_string(pes) +
                        " slot=" + std::to_string(slot_size) +
                        " il1=" + std::to_string(k1));
-          index::WindowBatch il1(kWindow);
-          il1.assign(il1_all, 0, k1);
+          const index::WindowSpan il1 = il1_all.subspan(0, k1);
           PscConfig config;
           config.num_pes = pes;
           config.slot_size = slot_size;

@@ -146,6 +146,28 @@ TEST(BankStore, RejectsDamage) {
   std::remove(path.c_str());
 }
 
+TEST(BankStore, RejectsHeaderCountsBeyondThePayload) {
+  // The loader sizes the bank's arena from the header's sequence and
+  // residue counts, so counts the payload cannot hold must be refused
+  // before anything is allocated from them.
+  const Workload workload(2);
+  const std::string path = temp_path("bank_counts.pscbank");
+  save_bank(path, workload.proteins);
+  const std::vector<char> good = slurp(path);
+  constexpr std::size_t kMetaOffset = offsetof(FileHeader, meta);
+  for (const std::size_t field : {1, 2}) {
+    for (const std::uint64_t value :
+         {std::uint64_t{1} << 61, std::uint64_t{good.size()}}) {
+      std::vector<char> crafted = good;
+      poke_u64(crafted, kMetaOffset + field * sizeof(std::uint64_t), value);
+      spit(path, crafted);
+      EXPECT_EQ(code_of([&] { load_bank(path); }), StoreErrorCode::kCorrupt)
+          << "meta[" << field << "] = " << value;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(IndexStore, RoundTripIsZeroCopyAndBitIdentical) {
   const Workload workload(3);
   const index::SeedModel model = index::SeedModel::subset_w4();

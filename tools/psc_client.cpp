@@ -271,9 +271,10 @@ int main(int argc, char** argv) {
       std::fwrite(bytes.data(), 1, bytes.size(), stdout);
     } else {
       for (const core::Match& match : result.matches) {
-        const std::string& id = query[match.bank0_sequence].id();
-        std::printf("%s\tsubject:%u\t%d\t%.1f\t%.2g\t%zu\t%zu\t%zu\t%zu\n",
-                    id.c_str(), match.bank1_sequence, match.alignment.score,
+        const std::string_view id = query.id(match.bank0_sequence);
+        std::printf("%.*s\tsubject:%u\t%d\t%.1f\t%.2g\t%zu\t%zu\t%zu\t%zu\n",
+                    static_cast<int>(id.size()), id.data(),
+                    match.bank1_sequence, match.alignment.score,
                     match.bit_score, match.e_value, match.alignment.begin0,
                     match.alignment.end0, match.alignment.begin1,
                     match.alignment.end1);

@@ -143,10 +143,10 @@ int main(int argc, char** argv) {
       // The pipeline indexes protein space; fold every DNA record's six
       // reading frames into one fragment bank.
       bio::SequenceBank fragments(bio::SequenceKind::kProtein);
-      for (const bio::Sequence& record : bank) {
+      for (const bio::SequenceView record : bank) {
         const bio::SequenceBank frames =
             bio::frames_to_bank(bio::translate_six_frames(record));
-        for (const bio::Sequence& fragment : frames) fragments.add(fragment);
+        for (const bio::SequenceView fragment : frames) fragments.add(fragment);
       }
       bank = std::move(fragments);
     }
