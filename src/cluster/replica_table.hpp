@@ -83,11 +83,10 @@ class ReplicaTable {
   /// without counting a failure (the replica did nothing wrong).
   void attempt_cancelled(std::size_t replica);
 
-  /// One row per replica, for ServiceStats::replicas (codec v3; the
-  /// benched/revived columns ride the v5 layout). The whole snapshot is
-  /// taken under ONE lock scope: latency ring, traffic counters and
-  /// bench/revive transitions are copied together, so a row can never
-  /// pair a post-bench counter with a pre-bench latency window.
+  /// One row per replica, for ServiceStats::replicas. The whole
+  /// snapshot is taken under ONE lock scope: latency ring, traffic
+  /// counters and bench/revive transitions are copied together, so a row
+  /// can never pair a post-bench counter with a pre-bench latency window.
   std::vector<service::ReplicaStats> snapshot() const;
 
  private:

@@ -21,7 +21,7 @@
 // immediately; a shard with no live replica fails the whole query with
 // WireError(kShardUnavailable) -- a typed error frame at the wire
 // boundary, never a hang. Per-replica traffic counters surface through
-// stats_snapshot() as ServiceStats::replicas (codec v3).
+// stats_snapshot() as ServiceStats::replicas.
 //
 // Multi-tenant admission happens HERE, once per submitted fan-out: the
 // request's tenant passes the per-tenant quota gates (TenantRegistry)

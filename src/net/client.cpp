@@ -140,7 +140,6 @@ void Client::ping() {
 HelloAckFrame Client::hello() {
   HelloFrame request;
   request.tenant = config_.tenant;
-  request.desired_stats_version = config_.desired_stats_version;
   const Frame frame =
       round_trip(encode_frame(MessageType::kHello, encode_hello(request)),
                  MessageType::kHelloAck);
@@ -150,23 +149,11 @@ HelloAckFrame Client::hello() {
   } catch (const core::CodecError& e) {
     throw WireError(WireErrorCode::kBadFrame, e.what());
   }
-  hello_done_ = true;
   return ack;
 }
 
 service::ServiceStats Client::stats() {
-  std::vector<std::uint8_t> payload;
-  if (!hello_done_) {
-    // DEPRECATED shim for servers we have not negotiated with: ask for
-    // the newest stats layout this build decodes via the per-frame u32;
-    // an older server clamps to its own (older) version, which
-    // decode_service_stats also accepts. After a hello the payload
-    // stays empty and the session vintage governs the reply.
-    payload.resize(sizeof(std::uint32_t));
-    const std::uint32_t version = service::kServiceStatsCodecVersion;
-    std::memcpy(payload.data(), &version, sizeof(version));
-  }
-  const Frame frame = round_trip(encode_frame(MessageType::kStats, payload),
+  const Frame frame = round_trip(encode_frame(MessageType::kStats),
                                  MessageType::kStatsResult);
   try {
     return service::decode_service_stats(frame.payload);

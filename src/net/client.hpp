@@ -23,12 +23,8 @@ struct ClientConfig {
   /// Tenant identity for this connection. Non-empty makes the
   /// constructor send a kHello handshake before anything else, so every
   /// request on the connection is billed to this tenant. Empty skips
-  /// the handshake entirely -- the legacy wire exchange, byte for byte
-  /// (the server bills the `default` tenant).
+  /// the handshake entirely (the server bills the `default` tenant).
   std::string tenant;
-  /// Stats vintage to request in the hello; 0 means "newest the server
-  /// supports". Only consulted when the handshake is sent.
-  std::uint32_t desired_stats_version = 0;
 };
 
 class Client {
@@ -46,12 +42,10 @@ class Client {
   /// Round-trips a Ping. Throws on protocol violation or disconnect.
   void ping();
 
-  /// Sends the kHello handshake (tenant + desired stats vintage) and
-  /// returns the server's ack. Called automatically by the constructor
-  /// when ClientConfig::tenant is set; calling it a second time on one
+  /// Sends the kHello handshake (the tenant) and returns the server's
+  /// ack. Called automatically by the constructor when
+  /// ClientConfig::tenant is set; calling it a second time on one
   /// connection is a server-side kBadRequest (thrown as WireError).
-  /// After a successful hello, stats() sends an empty payload and the
-  /// negotiated session vintage governs the reply layout.
   HelloAckFrame hello();
 
   /// Fetches the service counters snapshot.
@@ -92,7 +86,6 @@ class Client {
   ClientConfig config_;
   int fd_ = -1;
   FrameReader reader_;
-  bool hello_done_ = false;  ///< session vintage negotiated via kHello
 };
 
 }  // namespace psc::net

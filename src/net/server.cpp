@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <list>
@@ -93,12 +92,9 @@ struct Server::Connection {
   Clock::time_point deadline{};
 
   // Session identity, set once by the kHello handshake. Hello-less
-  // connections keep the defaults: billed to the default tenant,
-  // answered with stats codec v3 on an empty Stats payload (the legacy
-  // behaviour, byte for byte).
+  // connections are billed to the default tenant.
   std::string tenant = service::kDefaultTenantName;
   bool hello_seen = false;
-  std::uint32_t stats_vintage = 3;
 };
 
 Server::Server(service::SearchBackend& backend, ServerConfig config)
@@ -217,37 +213,23 @@ void Server::handle_frame(Connection& connection, const Frame& frame) {
       // Unknown names are accepted under the default policy: identity
       // is accounting and fairness, not auth.
       connection.tenant = service::normalize_tenant_name(hello.tenant);
-      std::uint32_t vintage = hello.desired_stats_version == 0
-                                  ? service::kServiceStatsCodecVersion
-                                  : hello.desired_stats_version;
-      vintage = std::max(vintage, service::kMinServiceStatsCodecVersion);
-      vintage = std::min(vintage, service::kServiceStatsCodecVersion);
-      connection.stats_vintage = vintage;
       connection.hello_seen = true;
       HelloAckFrame ack;
       ack.tenant = connection.tenant;
-      ack.stats_version = vintage;
       pending.frame =
           encode_frame(MessageType::kHelloAck, encode_hello_ack(ack));
       break;
     }
 
     case MessageType::kStats: {
-      // The negotiated session vintage is the source of truth: an empty
-      // payload means "the session's stats version" -- v3 on a
-      // hello-less connection, exactly the legacy behaviour. A u32
-      // payload is the DEPRECATED per-frame negotiation shim (see
-      // wire.hpp), clamped to the supported window so a client newer
-      // than this server still gets the newest frame it can produce.
-      std::uint32_t version = connection.stats_vintage;
-      if (frame.payload.size() >= sizeof(std::uint32_t)) {
-        std::memcpy(&version, frame.payload.data(), sizeof(version));
-        version = std::max(version, service::kMinServiceStatsCodecVersion);
-        version = std::min(version, service::kServiceStatsCodecVersion);
+      if (!frame.payload.empty()) {
+        pending.frame = encode_error_frame(WireErrorCode::kBadRequest,
+                                           "a Stats request has no payload");
+        break;
       }
       pending.frame = encode_frame(
           MessageType::kStatsResult,
-          service::encode_service_stats(backend_->stats_snapshot(), version));
+          service::encode_service_stats(backend_->stats_snapshot()));
       break;
     }
 

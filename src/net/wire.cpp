@@ -105,7 +105,7 @@ std::vector<std::uint8_t> encode_search_request(
 SearchRequestFrame decode_search_request(std::span<const std::uint8_t> data) {
   core::codec::Reader reader(data);
   const std::uint32_t version = reader.u32("search request version");
-  if (version != 1 && version != kSearchRequestCodecVersion) {
+  if (version != kSearchRequestCodecVersion) {
     throw core::CodecError("codec: unsupported search request version " +
                            std::to_string(version));
   }
@@ -115,10 +115,8 @@ SearchRequestFrame decode_search_request(std::span<const std::uint8_t> data) {
   request.options.composition_based_stats =
       (flags & kFlagCompositionStats) != 0;
   request.options.e_value_cutoff = reader.f64("search request e-value");
-  if (version >= 2) {
-    request.options.search_space_residues =
-        reader.f64("search request search space");
-  }
+  request.options.search_space_residues =
+      reader.f64("search request search space");
   const std::uint64_t prefix_bytes = reader.u64("bank prefix length");
   const auto prefix = reader.bytes(prefix_bytes, "bank prefix");
   request.bank_prefix.assign(reinterpret_cast<const char*>(prefix.data()),
@@ -136,7 +134,6 @@ SearchRequestFrame decode_search_request(std::span<const std::uint8_t> data) {
 std::vector<std::uint8_t> encode_hello(const HelloFrame& hello) {
   std::vector<std::uint8_t> out;
   put_u32(out, kHelloCodecVersion);
-  put_u32(out, hello.desired_stats_version);
   put_u32(out, static_cast<std::uint32_t>(hello.tenant.size()));
   put_bytes(out, hello.tenant.data(), hello.tenant.size());
   return out;
@@ -150,7 +147,6 @@ HelloFrame decode_hello(std::span<const std::uint8_t> data) {
                            std::to_string(version));
   }
   HelloFrame hello;
-  hello.desired_stats_version = reader.u32("hello stats version");
   const std::uint32_t tenant_len = reader.u32("hello tenant length");
   const auto tenant = reader.bytes(tenant_len, "hello tenant");
   hello.tenant.assign(reinterpret_cast<const char*>(tenant.data()),
@@ -164,7 +160,6 @@ HelloFrame decode_hello(std::span<const std::uint8_t> data) {
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckFrame& ack) {
   std::vector<std::uint8_t> out;
   put_u32(out, kHelloCodecVersion);
-  put_u32(out, ack.stats_version);
   put_u32(out, static_cast<std::uint32_t>(ack.tenant.size()));
   put_bytes(out, ack.tenant.data(), ack.tenant.size());
   return out;
@@ -178,7 +173,6 @@ HelloAckFrame decode_hello_ack(std::span<const std::uint8_t> data) {
                            std::to_string(version));
   }
   HelloAckFrame ack;
-  ack.stats_version = reader.u32("hello ack stats version");
   const std::uint32_t tenant_len = reader.u32("hello ack tenant length");
   const auto tenant = reader.bytes(tenant_len, "hello ack tenant");
   ack.tenant.assign(reinterpret_cast<const char*>(tenant.data()),

@@ -14,7 +14,9 @@
 //   Search    client->server  search request (encode_search_request)
 //   SearchResult  s->c        QueryResult (service::encode_query_result)
 //   Stats     client->server  (empty)
-//   StatsResult   s->c        ServiceStats (service::encode_service_stats)
+//   StatsResult   s->c        ServiceStats keyed list (encode_service_stats)
+//   Hello     client->server  tenant identity (encode_hello)
+//   HelloAck      s->c        tenant billed (encode_hello_ack)
 //   RefreshManifest c->s      bank prefix (encode_refresh_manifest)
 //   RefreshAck    s->c        u64 revision now served (encode_refresh_ack)
 //   Error     server->client  u32 code | u32 message length | message
@@ -38,17 +40,18 @@
 namespace psc::net {
 
 /// Protocol version; bump on any frame or payload layout change. Both
-/// ends reject other versions rather than guessing.
-inline constexpr std::uint16_t kWireVersion = 1;
+/// ends reject other versions rather than guessing. v2: the hello and
+/// hello-ack carry the tenant alone, and the stats reply is the keyed
+/// list of service::encode_service_stats.
+inline constexpr std::uint16_t kWireVersion = 2;
 
 /// "PSCN" as a little-endian u32; asymmetric so a byte-swapped peer
 /// fails the magic check instead of misparsing lengths.
 inline constexpr std::uint32_t kWireMagic = 0x4e435350u;
 
-/// Search-request payload version (inside the Search frame). v2 appends
+/// Search-request payload version (inside the Search frame). v2 carries
 /// the E-value search-space override (QueryOptions::search_space_residues)
-/// a router sets on per-shard requests; decode still accepts v1, which
-/// leaves the override at its 0 ("bank's own total") default.
+/// a router sets on per-shard requests; decode accepts v2 only.
 inline constexpr std::uint32_t kSearchRequestCodecVersion = 2;
 
 enum class MessageType : std::uint16_t {
@@ -56,27 +59,16 @@ enum class MessageType : std::uint16_t {
   kPong = 2,
   kSearch = 3,
   kSearchResult = 4,
-  /// Stats request. The *negotiated session vintage* (the kHello
-  /// handshake's stats_version) is the source of truth for the reply
-  /// layout: after a hello, an empty Stats payload means "the session
-  /// vintage", and on a hello-less connection it means stats codec v3
-  /// (the newest layout pre-hello clients decode).
-  ///
-  /// DEPRECATED per-frame negotiation: a little-endian u32 payload
-  /// naming the version the client wants, clamped server-side to the
-  /// supported window. Kept as a tested compatibility shim for one
-  /// protocol generation -- clients should negotiate once via kHello
-  /// and send empty Stats payloads; the u32 form will be rejected as
-  /// kBadRequest when kSearchRequestCodecVersion next bumps.
+  /// Stats request. Its payload is empty; any payload is refused as
+  /// kBadRequest and the connection stays usable. The reply is one
+  /// layout for every client (service::encode_service_stats).
   kStats = 5,
   kStatsResult = 6,
   kError = 7,
   /// Session handshake (optional, at most once, before any effect it
-  /// should govern): tenant identity + desired stats vintage
-  /// (HelloFrame). The server replies kHelloAck with the accepted
-  /// tenant and the clamped vintage. Connections that never say hello
-  /// are billed to the `default` tenant and keep the legacy v3 stats
-  /// behaviour, so every pre-hello client works unchanged.
+  /// should govern): tenant identity (HelloFrame). The server replies
+  /// kHelloAck with the accepted tenant. Connections that never say
+  /// hello are billed to the `default` tenant.
   kHello = 8,
   kHelloAck = 9,
   /// Live-ingest adoption (store format v3): ask the backend to re-read
@@ -177,26 +169,21 @@ SearchRequestFrame decode_search_request(std::span<const std::uint8_t> data);
 /// Hello payload version (inside the kHello/kHelloAck frames).
 inline constexpr std::uint32_t kHelloCodecVersion = 1;
 
-/// The kHello payload: who this connection is, and which stats layout
-/// it wants. Sent at most once per connection; the server rejects a
-/// replayed hello (kBadRequest) because requests already admitted under
-/// the first identity cannot be re-billed.
+/// The kHello payload: who this connection is. Sent at most once per
+/// connection; the server rejects a replayed hello (kBadRequest)
+/// because requests already admitted under the first identity cannot be
+/// re-billed.
 struct HelloFrame {
   /// Tenant name ([A-Za-z0-9._-]{1,64}); names the server has no
   /// explicit policy for are accepted under the default policy --
   /// identity is accounting, not auth.
   std::string tenant;
-  /// Requested stats codec vintage; 0 means "newest you support". The
-  /// server clamps into its supported window and acks the result.
-  std::uint32_t desired_stats_version = 0;
 };
 
 /// The kHelloAck payload: the identity the server billed the
-/// connection to and the stats vintage every later empty-payload Stats
-/// frame will be answered with.
+/// connection to.
 struct HelloAckFrame {
   std::string tenant;
-  std::uint32_t stats_version = 0;
 };
 
 std::vector<std::uint8_t> encode_hello(const HelloFrame& hello);

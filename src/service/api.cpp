@@ -1,11 +1,142 @@
 #include "service/api.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <string_view>
+
 namespace psc::service {
 
 namespace {
 
 // QueryResult header flag bits.
 constexpr std::uint32_t kFlagBankWasResident = 1u << 0;
+
+// The kind byte of one stats entry (see encode_service_stats).
+enum class StatKind : std::uint8_t { kU64 = 0, kF64 = 1, kString = 2 };
+
+template <typename T>
+constexpr StatKind stat_kind() {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return StatKind::kString;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return StatKind::kF64;
+  } else {
+    static_assert(std::is_integral_v<T>, "stats fields are u64/f64/string");
+    return StatKind::kU64;  // counters, gauges and bools
+  }
+}
+
+// Every entry holds at least a name length, a kind byte and a value of
+// four bytes (an empty string's length); every row at least its count.
+constexpr std::size_t kMinEntryBytes = 4 + 1 + 4;
+constexpr std::size_t kMinRowBytes = 4;
+
+void put_string(std::vector<std::uint8_t>& out, std::string_view text) {
+  core::codec::put_u32(out, static_cast<std::uint32_t>(text.size()));
+  core::codec::put_bytes(out, text.data(), text.size());
+}
+
+std::string_view get_string(core::codec::Reader& reader, const char* what) {
+  const std::uint32_t size = reader.u32(what);
+  const auto bytes = reader.bytes(size, what);
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+// Reads a count of items that each take at least `min_item_bytes`,
+// refusing one the bytes left cannot hold before anyone reserves for it.
+std::uint32_t get_count(core::codec::Reader& reader,
+                        std::size_t min_item_bytes, const char* what) {
+  const std::uint32_t count = reader.u32(what);
+  if (count > reader.remaining() / min_item_bytes) {
+    throw core::CodecError(std::string("codec: ") + what +
+                           " exceeds payload");
+  }
+  return count;
+}
+
+template <typename Row>
+void put_entries(std::vector<std::uint8_t>& out, const Row& row) {
+  std::uint32_t count = 0;
+  for_each_stat_field(row, [&](const char*, const auto&) { ++count; });
+  core::codec::put_u32(out, count);
+  for_each_stat_field(row, [&](const char* name, const auto& value) {
+    using T = std::remove_cvref_t<decltype(value)>;
+    put_string(out, name);
+    out.push_back(static_cast<std::uint8_t>(stat_kind<T>()));
+    if constexpr (stat_kind<T>() == StatKind::kString) {
+      put_string(out, value);
+    } else if constexpr (stat_kind<T>() == StatKind::kF64) {
+      core::codec::put_f64(out, value);
+    } else {
+      core::codec::put_u64(out, static_cast<std::uint64_t>(value));
+    }
+  });
+}
+
+template <typename Row>
+void put_rows(std::vector<std::uint8_t>& out, const std::vector<Row>& rows) {
+  core::codec::put_u32(out, static_cast<std::uint32_t>(rows.size()));
+  for (const Row& row : rows) put_entries(out, row);
+}
+
+// Reads one entry list into `row`: known names fill their member,
+// unknown names are skipped.
+template <typename Row>
+void get_entries(core::codec::Reader& reader, Row& row) {
+  const std::uint32_t count =
+      get_count(reader, kMinEntryBytes, "stats entry count");
+  std::vector<std::string_view> names;
+  names.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::string_view name = get_string(reader, "stats entry name");
+    const auto kind =
+        static_cast<StatKind>(reader.bytes(1, "stats entry kind")[0]);
+    std::uint64_t bits = 0;
+    std::string_view text;
+    switch (kind) {
+      case StatKind::kU64:
+      case StatKind::kF64:
+        bits = reader.u64("stats entry value");
+        break;
+      case StatKind::kString:
+        text = get_string(reader, "stats entry string");
+        break;
+      default:
+        throw core::CodecError("codec: unknown stats entry kind " +
+                               std::to_string(static_cast<int>(kind)));
+    }
+    names.push_back(name);
+    for_each_stat_field(row, [&](const char* field, auto& member) {
+      if (name != field) return;
+      using T = std::remove_cvref_t<decltype(member)>;
+      if (kind != stat_kind<T>()) {
+        throw core::CodecError("codec: stats entry " + std::string(name) +
+                               " has the wrong kind");
+      }
+      if constexpr (std::is_same_v<T, std::string>) {
+        member.assign(text);
+      } else if constexpr (std::is_same_v<T, double>) {
+        member = std::bit_cast<double>(bits);
+      } else if constexpr (std::is_same_v<T, bool>) {
+        member = bits != 0;
+      } else {
+        member = static_cast<T>(bits);
+      }
+    });
+  }
+  std::sort(names.begin(), names.end());
+  if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+    throw core::CodecError("codec: stats entry name repeated");
+  }
+}
+
+template <typename Row>
+void get_rows(core::codec::Reader& reader, std::vector<Row>& rows,
+              const char* what) {
+  const std::uint32_t count = get_count(reader, kMinRowBytes, what);
+  rows.resize(count);
+  for (Row& row : rows) get_entries(reader, row);
+}
 
 }  // namespace
 
@@ -71,211 +202,20 @@ QueryResult decode_query_result(std::span<const std::uint8_t> data) {
   return result;
 }
 
-std::vector<std::uint8_t> encode_service_stats(const ServiceStats& stats,
-                                               std::uint32_t version) {
-  if (version < kMinServiceStatsCodecVersion ||
-      version > kServiceStatsCodecVersion) {
-    throw core::CodecError("codec: cannot encode service stats version " +
-                           std::to_string(version));
-  }
+std::vector<std::uint8_t> encode_service_stats(const ServiceStats& stats) {
   std::vector<std::uint8_t> out;
-  core::codec::put_u32(out, version);
-  core::codec::put_u32(out, 0);
-  core::codec::put_u64(out, stats.queries_submitted);
-  core::codec::put_u64(out, stats.queries_completed);
-  core::codec::put_u64(out, stats.queries_failed);
-  core::codec::put_u64(out, stats.batches);
-  core::codec::put_u64(out, stats.cache_hits);
-  core::codec::put_u64(out, stats.cache_misses);
-  core::codec::put_u64(out, stats.evictions);
-  core::codec::put_u64(out, stats.max_batch);
-  core::codec::put_f64(out, stats.total_latency_seconds);
-  core::codec::put_f64(out, stats.total_batch_latency_seconds);
-  core::codec::put_f64(out, stats.max_batch_latency_seconds);
-  core::codec::put_f64(out, stats.mean_batch_latency_seconds);
-  core::codec::put_u64(out, stats.queue_depth);
-  core::codec::put_u64(out, stats.resident_banks);
-  core::codec::put_u64(out, stats.resident_shards);
-  if (version >= 4) {
-    core::codec::put_u64(out, stats.board_bitstream_loads);
-    core::codec::put_u64(out, stats.board_bank_uploads);
-    core::codec::put_u64(out, stats.board_swaps);
-    core::codec::put_u64(out, stats.bank_uploads_skipped);
-    core::codec::put_f64(out, stats.board_upload_seconds);
-    core::codec::put_f64(out, stats.board_upload_seconds_saved);
-    core::codec::put_f64(out, stats.accel_modeled_seconds);
-    core::codec::put_u64(out, stats.scheduler_rounds);
-    core::codec::put_u64(out, stats.scheduler_reorders);
-    core::codec::put_u64(out, stats.starvation_promotions);
-    core::codec::put_u64(out, stats.bank_switches);
-    core::codec::put_u32(
-        out, static_cast<std::uint32_t>(stats.scheduler_policy.size()));
-    core::codec::put_bytes(out, stats.scheduler_policy.data(),
-                           stats.scheduler_policy.size());
-  }
-  if (version == 2) return out;
-  core::codec::put_u64(out, stats.replicas.size());
-  for (const ReplicaStats& replica : stats.replicas) {
-    core::codec::put_u32(out,
-                         static_cast<std::uint32_t>(replica.endpoint.size()));
-    core::codec::put_bytes(out, replica.endpoint.data(),
-                           replica.endpoint.size());
-    core::codec::put_u32(out, replica.up ? 1u : 0u);
-    core::codec::put_u64(out, replica.inflight);
-    core::codec::put_u64(out, replica.requests);
-    core::codec::put_u64(out, replica.retries);
-    core::codec::put_u64(out, replica.hedges);
-    core::codec::put_u64(out, replica.failures);
-    core::codec::put_f64(out, replica.p50_latency_seconds);
-    core::codec::put_f64(out, replica.max_latency_seconds);
-    if (version >= 5) {
-      core::codec::put_u64(out, replica.benched);
-      core::codec::put_u64(out, replica.revived);
-    }
-  }
-  if (version >= 5) {
-    core::codec::put_u32(out, stats.fair_scheduler ? 1u : 0u);
-    core::codec::put_u64(out, stats.tenants.size());
-    for (const TenantStats& tenant : stats.tenants) {
-      core::codec::put_u32(out,
-                           static_cast<std::uint32_t>(tenant.name.size()));
-      core::codec::put_bytes(out, tenant.name.data(), tenant.name.size());
-      core::codec::put_f64(out, tenant.weight);
-      core::codec::put_u64(out, tenant.admitted);
-      core::codec::put_u64(out, tenant.rejected);
-      core::codec::put_u64(out, tenant.completed);
-      core::codec::put_u64(out, tenant.failed);
-      core::codec::put_u64(out, tenant.queued);
-      core::codec::put_f64(out, tenant.total_latency_seconds);
-      core::codec::put_f64(out, tenant.max_latency_seconds);
-      core::codec::put_u64(out, tenant.query_residues);
-      core::codec::put_u64(out, tenant.resident_bytes);
-      core::codec::put_u64(out, tenant.hedges);
-      core::codec::put_u64(out, tenant.hedges_denied);
-    }
-  }
-  if (version >= 6) {
-    core::codec::put_u64(out, stats.manifest_refreshes);
-    core::codec::put_u64(out, stats.refresh_shards_reused);
-    core::codec::put_u64(out, stats.resident_compressed_shards);
-    core::codec::put_u64(out, stats.store_revision);
-  }
+  put_entries(out, stats);
+  put_rows(out, stats.replicas);
+  put_rows(out, stats.tenants);
   return out;
 }
 
 ServiceStats decode_service_stats(std::span<const std::uint8_t> data) {
   core::codec::Reader reader(data);
-  const std::uint32_t version = reader.u32("service stats version");
-  if (version < kMinServiceStatsCodecVersion ||
-      version > kServiceStatsCodecVersion) {
-    throw core::CodecError("codec: unsupported service stats version " +
-                           std::to_string(version));
-  }
-  reader.u32("service stats reserved word");
   ServiceStats stats;
-  stats.queries_submitted = reader.u64("queries submitted");
-  stats.queries_completed = reader.u64("queries completed");
-  stats.queries_failed = reader.u64("queries failed");
-  stats.batches = reader.u64("batches");
-  stats.cache_hits = reader.u64("cache hits");
-  stats.cache_misses = reader.u64("cache misses");
-  stats.evictions = reader.u64("evictions");
-  stats.max_batch = static_cast<std::size_t>(reader.u64("max batch"));
-  stats.total_latency_seconds = reader.f64("total latency");
-  stats.total_batch_latency_seconds = reader.f64("total batch latency");
-  stats.max_batch_latency_seconds = reader.f64("max batch latency");
-  stats.mean_batch_latency_seconds = reader.f64("mean batch latency");
-  stats.queue_depth = static_cast<std::size_t>(reader.u64("queue depth"));
-  stats.resident_banks =
-      static_cast<std::size_t>(reader.u64("resident banks"));
-  stats.resident_shards =
-      static_cast<std::size_t>(reader.u64("resident shards"));
-  if (version >= 4) {
-    stats.board_bitstream_loads = reader.u64("board bitstream loads");
-    stats.board_bank_uploads = reader.u64("board bank uploads");
-    stats.board_swaps = reader.u64("board swaps");
-    stats.bank_uploads_skipped = reader.u64("bank uploads skipped");
-    stats.board_upload_seconds = reader.f64("board upload seconds");
-    stats.board_upload_seconds_saved = reader.f64("board upload saved");
-    stats.accel_modeled_seconds = reader.f64("accel modeled seconds");
-    stats.scheduler_rounds = reader.u64("scheduler rounds");
-    stats.scheduler_reorders = reader.u64("scheduler reorders");
-    stats.starvation_promotions = reader.u64("starvation promotions");
-    stats.bank_switches = reader.u64("bank switches");
-    const std::uint32_t policy_len = reader.u32("scheduler policy length");
-    const auto policy = reader.bytes(policy_len, "scheduler policy");
-    stats.scheduler_policy.assign(
-        reinterpret_cast<const char*>(policy.data()), policy.size());
-  }
-  if (version >= 3) {
-    const std::uint64_t count = reader.u64("replica count");
-    // Every replica row needs at least its fixed-width fields; bounding
-    // the count by the remaining bytes rejects hostile counts before any
-    // allocation (the store readers' discipline).
-    constexpr std::uint64_t kMinRowBytes = 4 + 4 + 5 * 8 + 2 * 8;
-    if (count > data.size() / kMinRowBytes) {
-      throw core::CodecError("codec: replica count exceeds payload");
-    }
-    stats.replicas.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ReplicaStats replica;
-      const std::uint32_t name_len = reader.u32("replica endpoint length");
-      const auto name = reader.bytes(name_len, "replica endpoint");
-      replica.endpoint.assign(reinterpret_cast<const char*>(name.data()),
-                              name.size());
-      replica.up = reader.u32("replica up flag") != 0;
-      replica.inflight = reader.u64("replica inflight");
-      replica.requests = reader.u64("replica requests");
-      replica.retries = reader.u64("replica retries");
-      replica.hedges = reader.u64("replica hedges");
-      replica.failures = reader.u64("replica failures");
-      replica.p50_latency_seconds = reader.f64("replica p50 latency");
-      replica.max_latency_seconds = reader.f64("replica max latency");
-      if (version >= 5) {
-        replica.benched = reader.u64("replica benched");
-        replica.revived = reader.u64("replica revived");
-      }
-      stats.replicas.push_back(std::move(replica));
-    }
-  }
-  if (version >= 5) {
-    stats.fair_scheduler = reader.u32("fair scheduler flag") != 0;
-    const std::uint64_t count = reader.u64("tenant count");
-    // Same hostile-count discipline as the replica table: each row is
-    // at least its fixed-width fields wide.
-    constexpr std::uint64_t kMinTenantRowBytes = 4 + 12 * 8;
-    if (count > data.size() / kMinTenantRowBytes) {
-      throw core::CodecError("codec: tenant count exceeds payload");
-    }
-    stats.tenants.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TenantStats tenant;
-      const std::uint32_t name_len = reader.u32("tenant name length");
-      const auto name = reader.bytes(name_len, "tenant name");
-      tenant.name.assign(reinterpret_cast<const char*>(name.data()),
-                         name.size());
-      tenant.weight = reader.f64("tenant weight");
-      tenant.admitted = reader.u64("tenant admitted");
-      tenant.rejected = reader.u64("tenant rejected");
-      tenant.completed = reader.u64("tenant completed");
-      tenant.failed = reader.u64("tenant failed");
-      tenant.queued = reader.u64("tenant queued");
-      tenant.total_latency_seconds = reader.f64("tenant total latency");
-      tenant.max_latency_seconds = reader.f64("tenant max latency");
-      tenant.query_residues = reader.u64("tenant query residues");
-      tenant.resident_bytes = reader.u64("tenant resident bytes");
-      tenant.hedges = reader.u64("tenant hedges");
-      tenant.hedges_denied = reader.u64("tenant hedges denied");
-      stats.tenants.push_back(std::move(tenant));
-    }
-  }
-  if (version >= 6) {
-    stats.manifest_refreshes = reader.u64("manifest refreshes");
-    stats.refresh_shards_reused = reader.u64("refresh shards reused");
-    stats.resident_compressed_shards = static_cast<std::size_t>(
-        reader.u64("resident compressed shards"));
-    stats.store_revision = reader.u64("store revision");
-  }
+  get_entries(reader, stats);
+  get_rows(reader, stats.replicas, "replica row count");
+  get_rows(reader, stats.tenants, "tenant row count");
   if (!reader.done()) {
     throw core::CodecError("codec: trailing bytes after service stats");
   }

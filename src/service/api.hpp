@@ -7,15 +7,18 @@
 // cross-client coalescing and the stats counters mean the same thing for
 // both.
 //
-// The codecs follow the store's hardened-reader discipline (versioned
-// layouts, every count bounds-checked before use); see core/result_codec
-// for the shared primitives and the match section they embed.
+// The codecs follow the store's hardened-reader discipline (every count
+// and length bounds-checked against the bytes left before use); see
+// core/result_codec for the shared primitives and the match section
+// they embed.
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -26,25 +29,9 @@ namespace psc::service {
 
 /// QueryResult wire-format version; bump on layout change.
 inline constexpr std::uint32_t kQueryResultCodecVersion = 1;
-/// ServiceStats wire-format version; bump on layout change. v2 adds the
-/// resident_shards gauge; v3 appends the per-replica table a router
-/// reports; v4 inserts the board-residency and scheduler block between
-/// the fixed gauges and the replica table; v5 widens each replica row
-/// with bench/revive transition counters and appends the fair-scheduler
-/// flag plus the per-tenant accounting table; v6 appends the live-ingest
-/// block (manifest refreshes, shards reused across generations,
-/// resident compressed shards, highest store revision served). decode
-/// accepts v2..v6, and encode_service_stats can emit any of them, which
-/// is how the server answers a legacy client's Stats frame with the
-/// exact older bytes that client expects (net/server.cpp negotiates the
-/// session vintage from the kHello handshake, or per-frame for legacy
-/// clients).
-inline constexpr std::uint32_t kServiceStatsCodecVersion = 6;
-/// Oldest stats version encode_service_stats can still emit.
-inline constexpr std::uint32_t kMinServiceStatsCodecVersion = 2;
 
 /// The tenant every request without an explicit identity is billed to:
-/// hello-less legacy connections, in-process callers that leave
+/// hello-less connections, in-process callers that leave
 /// ServiceRequest::tenant empty, and tools run without --tenant.
 inline constexpr const char* kDefaultTenantName = "default";
 
@@ -154,8 +141,8 @@ using ServiceResponse = QueryResult;
 /// One replica's health and traffic as seen by a router: which endpoint
 /// it is, whether the health checker currently believes it is up, and
 /// the per-replica request counters the hedging/retry policy exposes.
-/// Rides inside ServiceStats (codec v3) so the existing Stats/
-/// StatsResult frames surface cluster state without a new message type.
+/// Rides inside ServiceStats so the existing Stats/StatsResult frames
+/// surface cluster state without a new message type.
 struct ReplicaStats {
   std::string endpoint;            ///< "host:port"
   bool up = false;                 ///< last health probe succeeded
@@ -166,14 +153,16 @@ struct ReplicaStats {
   std::uint64_t failures = 0;      ///< attempts that errored
   double p50_latency_seconds = 0.0;  ///< median completed-attempt latency
   double max_latency_seconds = 0.0;  ///< slowest completed attempt
-  /// Health transitions (codec v5): how many times this replica was
+  /// Health transitions: how many times this replica was
   /// benched (up -> down) and revived (down -> up). Counted on state
   /// *changes* only, so repeated probe failures bill one bench.
   std::uint64_t benched = 0;
   std::uint64_t revived = 0;
+
+  friend bool operator==(const ReplicaStats&, const ReplicaStats&) = default;
 };
 
-/// One tenant's accounting row (codec v5): what was admitted, what the
+/// One tenant's accounting row: what was admitted, what the
 /// quota gates rejected, and what the admitted work cost. Rides inside
 /// ServiceStats exactly like the replica table, so `psc_client --stats`
 /// and snapshot() surface per-tenant state without a new message type.
@@ -191,12 +180,14 @@ struct TenantStats {
   std::uint64_t resident_bytes = 0;    ///< gauge: charged bank bytes
   std::uint64_t hedges = 0;            ///< hedge budget spends (router)
   std::uint64_t hedges_denied = 0;     ///< hedges the budget refused
+
+  friend bool operator==(const TenantStats&, const TenantStats&) = default;
 };
 
 /// Monotonic service-level counters plus snapshot-time gauges. This
 /// struct *is* the payload of the network Stats frame, field for field
-/// (encode_service_stats/decode_service_stats), so a remote client sees
-/// exactly what SearchService::snapshot() returns.
+/// (see the field tables below), so a remote client sees exactly what
+/// SearchService::snapshot() returns.
 struct ServiceStats {
   std::uint64_t queries_submitted = 0;
   std::uint64_t queries_completed = 0;
@@ -221,9 +212,9 @@ struct ServiceStats {
   /// counts as one shard); this is what the cache capacity bounds.
   std::size_t resident_shards = 0;
 
-  // Board-residency gauges (codec v4): the accelerator board cache's
-  // accounting (rasc/board_cache.hpp). All zero when the service runs a
-  // host step-2 backend.
+  // Board-residency gauges: the accelerator board cache's accounting
+  // (rasc/board_cache.hpp). All zero when the service runs a host step-2
+  // backend.
   std::uint64_t board_bitstream_loads = 0;  ///< FPGA configurations paid
   std::uint64_t board_bank_uploads = 0;     ///< bank images DMA'd to SRAM
   std::uint64_t board_swaps = 0;            ///< uploads evicting an image
@@ -234,7 +225,7 @@ struct ServiceStats {
   /// quantity the residency bench's throughput ratio is computed over).
   double accel_modeled_seconds = 0.0;
 
-  // Scheduler counters (codec v4): how the worker ordered its batches.
+  // Scheduler counters: how the worker ordered its batches.
   std::uint64_t scheduler_rounds = 0;       ///< groups served
   std::uint64_t scheduler_reorders = 0;     ///< picks passing over an older group
   std::uint64_t starvation_promotions = 0;  ///< aging-guard forced picks
@@ -242,16 +233,16 @@ struct ServiceStats {
   /// Active scheduling policy ("fifo" / "affinity").
   std::string scheduler_policy;
 
-  /// Per-replica rows (codec v3). Empty for a single-node service; a
-  /// router fills one row per configured replica endpoint.
+  /// Per-replica rows. Empty for a single-node service; a router fills
+  /// one row per configured replica endpoint.
   std::vector<ReplicaStats> replicas;
 
-  /// Whether the weighted-fair (DRR) scheduler is active (codec v5).
+  /// Whether the weighted-fair (DRR) scheduler is active.
   bool fair_scheduler = false;
-  /// Per-tenant accounting rows (codec v5), sorted by tenant name.
+  /// Per-tenant accounting rows, sorted by tenant name.
   std::vector<TenantStats> tenants;
 
-  // Live-ingest block (codec v6): the store-format-v3 refresh path.
+  // Live-ingest block: the store-format-v3 refresh path.
   std::uint64_t manifest_refreshes = 0;   ///< kRefreshManifest adoptions
   /// Shards adopted from an already-resident generation instead of
   /// re-read from disk when a refreshed manifest was loaded -- the gauge
@@ -263,6 +254,8 @@ struct ServiceStats {
   /// Highest manifest revision this service has served or adopted
   /// (0 until a v3 sharded store is touched).
   std::uint64_t store_revision = 0;
+
+  friend bool operator==(const ServiceStats&, const ServiceStats&) = default;
 };
 
 /// Appends the versioned QueryResult encoding (header fields followed by
@@ -275,14 +268,108 @@ std::vector<std::uint8_t> encode_query_result(const QueryResult& result);
 /// truncation, version skew or trailing bytes.
 QueryResult decode_query_result(std::span<const std::uint8_t> data);
 
-/// Encodes `stats` at `version` (kMinServiceStatsCodecVersion ..
-/// kServiceStatsCodecVersion; throws core::CodecError outside that
-/// range). Encoding below v4 simply omits the newer fields -- exactly
-/// the bytes a server of that era would have produced -- which is what
-/// lets one server answer clients of every supported vintage.
-std::vector<std::uint8_t> encode_service_stats(
-    const ServiceStats& stats,
-    std::uint32_t version = kServiceStatsCodecVersion);
+// ---------------------------------------------------------------------------
+// Stats field tables. Each lists every field of its struct once: the
+// field's wire name and its member, in print order. The codec below and
+// psc_client's printer loop over these, so a new stat is one line here.
+// `visit(name, member)` runs once per field; the member is const when
+// the row is. Members are std::uint64_t (or std::size_t), double, bool or
+// std::string. The ServiceStats table lists its scalars; the replica and
+// tenant rows have tables of their own.
+
+template <typename Row, typename Struct>
+concept StatsRowOf = std::same_as<std::remove_const_t<Row>, Struct>;
+
+template <typename Row, typename Visit>
+  requires StatsRowOf<Row, ServiceStats>
+void for_each_stat_field(Row& stats, Visit&& visit) {
+  visit("queries_submitted", stats.queries_submitted);
+  visit("queries_completed", stats.queries_completed);
+  visit("queries_failed", stats.queries_failed);
+  visit("batches", stats.batches);
+  visit("cache_hits", stats.cache_hits);
+  visit("cache_misses", stats.cache_misses);
+  visit("evictions", stats.evictions);
+  visit("max_batch", stats.max_batch);
+  visit("total_latency_seconds", stats.total_latency_seconds);
+  visit("total_batch_latency_seconds", stats.total_batch_latency_seconds);
+  visit("max_batch_latency_seconds", stats.max_batch_latency_seconds);
+  visit("mean_batch_latency_seconds", stats.mean_batch_latency_seconds);
+  visit("queue_depth", stats.queue_depth);
+  visit("resident_banks", stats.resident_banks);
+  visit("resident_shards", stats.resident_shards);
+  visit("board_bitstream_loads", stats.board_bitstream_loads);
+  visit("board_bank_uploads", stats.board_bank_uploads);
+  visit("board_swaps", stats.board_swaps);
+  visit("bank_uploads_skipped", stats.bank_uploads_skipped);
+  visit("board_upload_seconds", stats.board_upload_seconds);
+  visit("board_upload_seconds_saved", stats.board_upload_seconds_saved);
+  visit("accel_modeled_seconds", stats.accel_modeled_seconds);
+  visit("scheduler_rounds", stats.scheduler_rounds);
+  visit("scheduler_reorders", stats.scheduler_reorders);
+  visit("starvation_promotions", stats.starvation_promotions);
+  visit("bank_switches", stats.bank_switches);
+  visit("scheduler_policy", stats.scheduler_policy);
+  visit("manifest_refreshes", stats.manifest_refreshes);
+  visit("refresh_shards_reused", stats.refresh_shards_reused);
+  visit("resident_compressed_shards", stats.resident_compressed_shards);
+  visit("store_revision", stats.store_revision);
+  visit("fair_scheduler", stats.fair_scheduler);
+}
+
+template <typename Row, typename Visit>
+  requires StatsRowOf<Row, ReplicaStats>
+void for_each_stat_field(Row& replica, Visit&& visit) {
+  visit("replica", replica.endpoint);
+  visit("up", replica.up);
+  visit("inflight", replica.inflight);
+  visit("requests", replica.requests);
+  visit("retries", replica.retries);
+  visit("hedges", replica.hedges);
+  visit("failures", replica.failures);
+  visit("benched", replica.benched);
+  visit("revived", replica.revived);
+  visit("p50_latency_seconds", replica.p50_latency_seconds);
+  visit("max_latency_seconds", replica.max_latency_seconds);
+}
+
+template <typename Row, typename Visit>
+  requires StatsRowOf<Row, TenantStats>
+void for_each_stat_field(Row& tenant, Visit&& visit) {
+  visit("tenant", tenant.name);
+  visit("weight", tenant.weight);
+  visit("admitted", tenant.admitted);
+  visit("rejected", tenant.rejected);
+  visit("completed", tenant.completed);
+  visit("failed", tenant.failed);
+  visit("queued", tenant.queued);
+  visit("total_latency_seconds", tenant.total_latency_seconds);
+  visit("max_latency_seconds", tenant.max_latency_seconds);
+  visit("query_residues", tenant.query_residues);
+  visit("resident_bytes", tenant.resident_bytes);
+  visit("hedges", tenant.hedges);
+  visit("hedges_denied", tenant.hedges_denied);
+}
+
+/// Encodes `stats` as one self-describing keyed list (little-endian):
+///
+///   entry list:  u32 count | count x entry
+///   entry:       u32 name length | name | u8 kind | value
+///   value:       kind 0 = u64, 1 = f64, 2 = u32 length | string bytes
+///   payload:     ServiceStats scalars (entry list)
+///                | u32 replica rows | one entry list per replica
+///                | u32 tenant rows | one entry list per tenant
+///
+/// Bools travel as u64 0/1. There is no version word: the decoder skips
+/// names it does not know and leaves fields the payload omits at their
+/// defaults, so adding a stat needs neither a version nor a negotiation.
+std::vector<std::uint8_t> encode_service_stats(const ServiceStats& stats);
+
+/// Decodes a whole-buffer stats payload, treating it as untrusted: every
+/// count and length is bounded by the bytes left before anything is
+/// reserved, and truncation, an unknown kind, a known name with the wrong
+/// kind, a name repeated within one entry list and trailing bytes all
+/// throw core::CodecError.
 ServiceStats decode_service_stats(std::span<const std::uint8_t> data);
 
 }  // namespace psc::service

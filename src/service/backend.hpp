@@ -25,7 +25,7 @@ class SearchBackend {
       ServiceRequest request) = 0;
 
   /// One coherent counters/gauges snapshot; the Stats frame encodes
-  /// whatever this returns (including replica rows, codec v3).
+  /// whatever this returns (including a router's replica rows).
   virtual ServiceStats stats_snapshot() const = 0;
 
   /// Live-ingest adoption (store format v3): re-reads `bank_prefix`'s

@@ -137,15 +137,15 @@ std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> raw) {
   return out;
 }
 
-std::vector<std::uint8_t> lzss_decompress(std::span<const std::uint8_t> stream,
-                                          std::uint64_t raw_size,
-                                          const std::string& path) {
+void lzss_decompress(std::span<const std::uint8_t> stream,
+                     std::uint64_t raw_size, const std::string& path,
+                     std::vector<std::uint8_t>& out) {
   if (raw_size == 0) {
     if (!stream.empty()) {
       throw StoreError(StoreErrorCode::kCorrupt,
                        "compressed payload has trailing bytes: " + path);
     }
-    return {};
+    return;
   }
   // Reject a header lying about the uncompressed size *before* sizing
   // any buffer from it: no stream of this length can legally expand
@@ -158,12 +158,15 @@ std::vector<std::uint8_t> lzss_decompress(std::span<const std::uint8_t> stream,
                          path);
   }
 
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(raw_size));
+  // Bytes already in `out` belong to the caller: matches may reach back
+  // only into this stream's own output, which ends at `base + raw_size`.
+  const std::size_t base = out.size();
+  const std::size_t end = base + static_cast<std::size_t>(raw_size);
+  out.reserve(end);
   std::size_t pos = 0;
   std::uint8_t flags = 0;
   int flag_bit = 8;
-  while (out.size() < raw_size) {
+  while (out.size() < end) {
     if (flag_bit == 8) {
       if (pos >= stream.size()) {
         throw StoreError(StoreErrorCode::kCorrupt,
@@ -183,7 +186,7 @@ std::vector<std::uint8_t> lzss_decompress(std::span<const std::uint8_t> stream,
                                (static_cast<std::size_t>(stream[pos + 1]) << 8);
       const std::size_t len = kMinMatch + stream[pos + 2];
       pos += 3;
-      if (dist == 0 || dist > out.size() || out.size() + len > raw_size) {
+      if (dist == 0 || dist > out.size() - base || out.size() + len > end) {
         throw StoreError(StoreErrorCode::kCorrupt,
                          "compressed payload references invalid match: " +
                              path);
@@ -204,7 +207,6 @@ std::vector<std::uint8_t> lzss_decompress(std::span<const std::uint8_t> stream,
     throw StoreError(StoreErrorCode::kCorrupt,
                      "compressed payload has trailing bytes: " + path);
   }
-  return out;
 }
 
 MmapFile decompress_store_image(MmapFile file, const std::string& path) {
@@ -213,14 +215,10 @@ MmapFile decompress_store_image(MmapFile file, const std::string& path) {
   if (header.reserved == kCompressionNone) return file;
   const std::span<const std::uint8_t> stream =
       file.bytes().subspan(sizeof(FileHeader));
-  std::vector<std::uint8_t> raw =
-      lzss_decompress(stream, header.payload_bytes, path);
-  std::vector<std::uint8_t> image(sizeof(FileHeader) + raw.size());
   header.reserved = kCompressionNone;
+  std::vector<std::uint8_t> image(sizeof(FileHeader));
   std::memcpy(image.data(), &header, sizeof(header));
-  if (!raw.empty()) {
-    std::memcpy(image.data() + sizeof(FileHeader), raw.data(), raw.size());
-  }
+  lzss_decompress(stream, header.payload_bytes, path, image);
   return MmapFile::from_owned(std::move(image));
 }
 

@@ -37,14 +37,25 @@ inline constexpr std::uint64_t kMaxExpansionRatio = 83;
 /// header's payload_bytes), which is how the decoder is driven.
 std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> raw);
 
-/// Decompresses `stream`, which must decode to exactly `raw_size` bytes
-/// and consume exactly the whole stream. Throws StoreError(kCorrupt)
-/// on any structural damage (truncation, distance past the start,
-/// trailing garbage) -- and, before allocating anything, when `raw_size`
-/// is larger than any stream of this length could produce.
-std::vector<std::uint8_t> lzss_decompress(std::span<const std::uint8_t> stream,
-                                          std::uint64_t raw_size,
-                                          const std::string& path);
+/// Decompresses `stream` onto the end of `out`, which keeps whatever it
+/// already holds (a store image's header). The stream must decode to
+/// exactly `raw_size` bytes and consume exactly the whole stream. Throws
+/// StoreError(kCorrupt) on any structural damage (truncation, distance
+/// past the stream's own output, trailing garbage) -- and, before
+/// allocating anything, when `raw_size` is larger than any stream of
+/// this length could produce.
+void lzss_decompress(std::span<const std::uint8_t> stream,
+                     std::uint64_t raw_size, const std::string& path,
+                     std::vector<std::uint8_t>& out);
+
+/// The same, into a fresh buffer.
+inline std::vector<std::uint8_t> lzss_decompress(
+    std::span<const std::uint8_t> stream, std::uint64_t raw_size,
+    const std::string& path) {
+  std::vector<std::uint8_t> out;
+  lzss_decompress(stream, raw_size, path, out);
+  return out;
+}
 
 /// The decompress-on-load seam shared by every reader: returns `file`
 /// untouched when its header records compression tag 0 (the mmap fast

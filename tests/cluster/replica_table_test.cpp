@@ -168,28 +168,5 @@ TEST(ReplicaTableTest, BenchAndReviveCountTransitionsNotReprobes) {
   EXPECT_EQ(table.snapshot()[0].revived, 0u);
 }
 
-TEST(ReplicaTableTest, BenchedRevivedRideTheV5StatsCodec) {
-  // The new columns must survive the wire: encoded at v5, decoded back
-  // intact; a v4 frame omits them and decodes to zeros.
-  ReplicaTable table(three_replicas());
-  table.set_up(2, false);
-  table.set_up(2, true);
-  table.set_up(2, false);
-
-  service::ServiceStats stats;
-  stats.replicas = table.snapshot();
-  const service::ServiceStats v5 = service::decode_service_stats(
-      service::encode_service_stats(stats, 5));
-  ASSERT_EQ(v5.replicas.size(), 3u);
-  EXPECT_EQ(v5.replicas[2].benched, 2u);
-  EXPECT_EQ(v5.replicas[2].revived, 1u);
-
-  const service::ServiceStats v4 = service::decode_service_stats(
-      service::encode_service_stats(stats, 4));
-  ASSERT_EQ(v4.replicas.size(), 3u);
-  EXPECT_EQ(v4.replicas[2].benched, 0u);
-  EXPECT_EQ(v4.replicas[2].revived, 0u);
-}
-
 }  // namespace
 }  // namespace psc::cluster

@@ -314,7 +314,7 @@ TEST(RouterTest, MergedReplyIsByteIdenticalThroughTheFullStack) {
       client.search(workload.name, workload.fasta(), options);
   EXPECT_EQ(core::encode_matches(remote.matches), reference);
 
-  // The stats frame carries the per-replica table (codec v3) end to end.
+  // The stats frame carries the per-replica table end to end.
   const service::ServiceStats stats = client.stats();
   EXPECT_EQ(stats.queries_completed, 2u);
   ASSERT_EQ(stats.replicas.size(), 2u);

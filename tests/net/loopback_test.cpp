@@ -225,48 +225,31 @@ TEST_F(LoopbackTest, PingAndStatsRoundTrip) {
   EXPECT_GT(after.total_batch_latency_seconds, 0.0);
 }
 
-TEST_F(LoopbackTest, LegacyStatsClientsGetTheirOwnVintage) {
-  // Codec-v4 servers must keep answering clients built before the
-  // board/scheduler rows existed. The request payload carries the
-  // desired version; the vintages in play:
-  //  - a v3-era client sends kStats with an EMPTY payload,
-  //  - a v2-era client (hypothetically forward-ported) asks for 2,
-  //  - a future client asking past v4 gets clamped down, not an error.
+TEST_F(LoopbackTest, NonEmptyStatsPayloadIsBadRequestAndConnectionSurvives) {
+  // A Stats request has no payload; any bytes there are outside input
+  // and are refused, while the connection keeps serving.
   start();
   RawConnection raw(server_->port());
-
-  const auto stats_version_of =
-      [&](const std::vector<std::uint8_t>& payload) -> std::uint32_t {
+  const std::vector<std::vector<std::uint8_t>> payloads = {
+      {6, 0, 0, 0}, {0}, {0xff, 0xff, 0xff, 0xff, 0xff}};
+  for (const std::vector<std::uint8_t>& payload : payloads) {
     raw.send_bytes(encode_frame(MessageType::kStats, payload));
-    const auto frame = raw.read_frame();
-    EXPECT_TRUE(frame.has_value());
-    if (!frame) return 0;
-    EXPECT_EQ(frame->type,
-              static_cast<std::uint16_t>(MessageType::kStatsResult));
-    // The reply must decode with the current library no matter the
-    // vintage -- the well-formedness half of the guarantee.
-    (void)service::decode_service_stats(frame->payload);
-    std::uint32_t version = 0;
-    std::memcpy(&version, frame->payload.data(), sizeof(version));
-    return version;
-  };
+    EXPECT_EQ(expect_error_frame(raw.read_frame()),
+              WireErrorCode::kBadRequest);
+  }
 
-  EXPECT_EQ(stats_version_of({}), 3u);  // legacy default
-  EXPECT_EQ(stats_version_of({2, 0, 0, 0}), 2u);
-  EXPECT_EQ(stats_version_of({4, 0, 0, 0}), 4u);
-  EXPECT_EQ(stats_version_of({9, 0, 0, 0}), 6u);  // clamped, no error
-  EXPECT_EQ(stats_version_of({1, 0, 0, 0}), 2u);  // clamped up as well
-
-  // A v3 reply really omits the v4 rows: the decoded struct keeps its
-  // defaults there while the library's own client sees them filled.
   raw.send_bytes(encode_frame(MessageType::kStats));
-  const auto v3_frame = raw.read_frame();
-  ASSERT_TRUE(v3_frame.has_value());
-  const service::ServiceStats v3 =
-      service::decode_service_stats(v3_frame->payload);
-  EXPECT_TRUE(v3.scheduler_policy.empty());
-  Client client = connect();
-  EXPECT_EQ(client.stats().scheduler_policy, "affinity");
+  const auto stats_frame = raw.read_frame();
+  ASSERT_TRUE(stats_frame.has_value());
+  ASSERT_EQ(stats_frame->type,
+            static_cast<std::uint16_t>(MessageType::kStatsResult));
+  EXPECT_EQ(service::decode_service_stats(stats_frame->payload)
+                .scheduler_policy,
+            "affinity");
+  raw.send_bytes(encode_frame(MessageType::kPing));
+  const auto pong = raw.read_frame();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->type, static_cast<std::uint16_t>(MessageType::kPong));
 }
 
 TEST_F(LoopbackTest, RefreshManifestAdoptsAppendedGenerationInPlace) {
@@ -627,45 +610,39 @@ TEST_F(LoopbackTest, ClientsWithDifferentOptionsNeverShareAPass) {
   }
 }
 
-TEST_F(LoopbackTest, HelloNegotiatesTenantAndStatsVintage) {
+TEST_F(LoopbackTest, HelloBindsTenant) {
   start();
   RawConnection raw(server_->port());
 
   HelloFrame hello;
   hello.tenant = "alice";
-  hello.desired_stats_version = 0;  // "newest you support"
   raw.send_bytes(encode_frame(MessageType::kHello, encode_hello(hello)));
   const auto ack_frame = raw.read_frame();
   ASSERT_TRUE(ack_frame.has_value());
   ASSERT_EQ(ack_frame->type,
             static_cast<std::uint16_t>(MessageType::kHelloAck));
-  const HelloAckFrame ack = decode_hello_ack(ack_frame->payload);
-  EXPECT_EQ(ack.tenant, "alice");
-  EXPECT_EQ(ack.stats_version, service::kServiceStatsCodecVersion);
+  EXPECT_EQ(decode_hello_ack(ack_frame->payload).tenant, "alice");
 
-  // After the handshake an EMPTY Stats payload answers at the session
-  // vintage -- no per-frame u32 needed ever again.
+  // The Stats reply after a hello is the same keyed list as without one.
   raw.send_bytes(encode_frame(MessageType::kStats));
   const auto stats_frame = raw.read_frame();
   ASSERT_TRUE(stats_frame.has_value());
   ASSERT_EQ(stats_frame->type,
             static_cast<std::uint16_t>(MessageType::kStatsResult));
-  std::uint32_t version = 0;
-  std::memcpy(&version, stats_frame->payload.data(), sizeof(version));
-  EXPECT_EQ(version, service::kServiceStatsCodecVersion);
+  EXPECT_EQ(service::decode_service_stats(stats_frame->payload)
+                .scheduler_policy,
+            "affinity");
 
-  // A second connection asking for an out-of-window vintage is clamped
-  // in the ack, not rejected.
-  RawConnection futuristic(server_->port());
-  hello.desired_stats_version = 99;
-  futuristic.send_bytes(
-      encode_frame(MessageType::kHello, encode_hello(hello)));
-  const auto clamped = futuristic.read_frame();
-  ASSERT_TRUE(clamped.has_value());
-  ASSERT_EQ(clamped->type,
+  // An empty tenant is billed to the default tenant, and the ack says so.
+  RawConnection anonymous(server_->port());
+  anonymous.send_bytes(
+      encode_frame(MessageType::kHello, encode_hello(HelloFrame{})));
+  const auto default_ack = anonymous.read_frame();
+  ASSERT_TRUE(default_ack.has_value());
+  ASSERT_EQ(default_ack->type,
             static_cast<std::uint16_t>(MessageType::kHelloAck));
-  EXPECT_EQ(decode_hello_ack(clamped->payload).stats_version,
-            service::kServiceStatsCodecVersion);
+  EXPECT_EQ(decode_hello_ack(default_ack->payload).tenant,
+            service::kDefaultTenantName);
 }
 
 TEST_F(LoopbackTest, ReplayedHelloIsRejectedAndConnectionSurvives) {

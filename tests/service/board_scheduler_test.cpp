@@ -3,7 +3,7 @@
 //  - the scheduling invariant (per-request reply bytes identical to
 //    FIFO across arrival orders) at the service level,
 //  - the board-swap counters against a scripted oracle with the RASC
-//    backend live, plus the stats codec's v2/v3/v4 negotiation.
+//    backend live.
 #include "service/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -327,94 +327,6 @@ TEST(BoardScheduler, HostBackendLeavesBoardCountersAtZero) {
   EXPECT_EQ(stats.board_swaps, 0u);
   EXPECT_DOUBLE_EQ(stats.accel_modeled_seconds, 0.0);
   EXPECT_EQ(stats.scheduler_rounds, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Stats codec: v4 fields and cross-version negotiation.
-
-ServiceStats v4_sample() {
-  ServiceStats stats;
-  stats.queries_submitted = 9;
-  stats.queries_completed = 8;
-  stats.batches = 4;
-  stats.board_bitstream_loads = 2;
-  stats.board_bank_uploads = 6;
-  stats.board_swaps = 3;
-  stats.bank_uploads_skipped = 11;
-  stats.board_upload_seconds = 1.25;
-  stats.board_upload_seconds_saved = 4.5;
-  stats.accel_modeled_seconds = 7.75;
-  stats.scheduler_rounds = 14;
-  stats.scheduler_reorders = 5;
-  stats.starvation_promotions = 1;
-  stats.bank_switches = 4;
-  stats.scheduler_policy = "affinity";
-  ReplicaStats replica;
-  replica.endpoint = "host:7001";
-  replica.up = true;
-  replica.requests = 3;
-  stats.replicas.push_back(replica);
-  return stats;
-}
-
-TEST(ServiceCodec, V4RoundTripsBoardAndSchedulerFields) {
-  const ServiceStats stats = v4_sample();
-  const ServiceStats decoded =
-      decode_service_stats(encode_service_stats(stats));
-  EXPECT_EQ(decoded.board_bitstream_loads, 2u);
-  EXPECT_EQ(decoded.board_bank_uploads, 6u);
-  EXPECT_EQ(decoded.board_swaps, 3u);
-  EXPECT_EQ(decoded.bank_uploads_skipped, 11u);
-  EXPECT_DOUBLE_EQ(decoded.board_upload_seconds, 1.25);
-  EXPECT_DOUBLE_EQ(decoded.board_upload_seconds_saved, 4.5);
-  EXPECT_DOUBLE_EQ(decoded.accel_modeled_seconds, 7.75);
-  EXPECT_EQ(decoded.scheduler_rounds, 14u);
-  EXPECT_EQ(decoded.scheduler_reorders, 5u);
-  EXPECT_EQ(decoded.starvation_promotions, 1u);
-  EXPECT_EQ(decoded.bank_switches, 4u);
-  EXPECT_EQ(decoded.scheduler_policy, "affinity");
-  ASSERT_EQ(decoded.replicas.size(), 1u);
-  EXPECT_EQ(decoded.replicas[0].endpoint, "host:7001");
-}
-
-TEST(ServiceCodec, EncodesLegacyVersionsForOldClients) {
-  const ServiceStats stats = v4_sample();
-  // v3: replica table present, board/scheduler fields omitted. The
-  // decoder (which understands every supported vintage) must read the
-  // frame cleanly and leave the v4 fields defaulted.
-  const ServiceStats v3 =
-      decode_service_stats(encode_service_stats(stats, 3));
-  EXPECT_EQ(v3.queries_submitted, 9u);
-  ASSERT_EQ(v3.replicas.size(), 1u);
-  EXPECT_EQ(v3.board_bank_uploads, 0u);
-  EXPECT_TRUE(v3.scheduler_policy.empty());
-
-  // v2: no replica table either.
-  const ServiceStats v2 =
-      decode_service_stats(encode_service_stats(stats, 2));
-  EXPECT_EQ(v2.queries_submitted, 9u);
-  EXPECT_TRUE(v2.replicas.empty());
-  EXPECT_EQ(v2.board_swaps, 0u);
-
-  // A v3 frame is shorter than v4, v2 shorter than v3 -- the version
-  // byte really gates the payload.
-  EXPECT_LT(encode_service_stats(stats, 2).size(),
-            encode_service_stats(stats, 3).size());
-  EXPECT_LT(encode_service_stats(stats, 3).size(),
-            encode_service_stats(stats).size());
-}
-
-TEST(ServiceCodec, RejectsUnsupportedVersionsAndTrailingBytes) {
-  const ServiceStats stats = v4_sample();
-  EXPECT_THROW(encode_service_stats(stats, 1), core::CodecError);
-  EXPECT_THROW(encode_service_stats(stats, 7), core::CodecError);
-
-  std::vector<std::uint8_t> bytes = encode_service_stats(stats);
-  bytes.push_back(0);
-  EXPECT_THROW(decode_service_stats(bytes), core::CodecError);
-  bytes.pop_back();
-  bytes[0] = 0x7f;  // version skew
-  EXPECT_THROW(decode_service_stats(bytes), core::CodecError);
 }
 
 }  // namespace

@@ -426,49 +426,6 @@ TEST(ServiceCodec, QueryResultRoundTrips) {
   EXPECT_THROW(decode_query_result(padded), core::CodecError);
 }
 
-TEST(ServiceCodec, ServiceStatsRoundTrips) {
-  ServiceStats stats;
-  stats.queries_submitted = 11;
-  stats.queries_completed = 10;
-  stats.queries_failed = 1;
-  stats.batches = 4;
-  stats.cache_hits = 3;
-  stats.cache_misses = 1;
-  stats.evictions = 2;
-  stats.max_batch = 5;
-  stats.total_latency_seconds = 1.5;
-  stats.total_batch_latency_seconds = 0.9;
-  stats.max_batch_latency_seconds = 0.5;
-  stats.mean_batch_latency_seconds = 0.225;
-  stats.queue_depth = 7;
-  stats.resident_banks = 2;
-
-  const std::vector<std::uint8_t> bytes = encode_service_stats(stats);
-  const ServiceStats decoded = decode_service_stats(bytes);
-  EXPECT_EQ(decoded.queries_submitted, stats.queries_submitted);
-  EXPECT_EQ(decoded.queries_completed, stats.queries_completed);
-  EXPECT_EQ(decoded.queries_failed, stats.queries_failed);
-  EXPECT_EQ(decoded.batches, stats.batches);
-  EXPECT_EQ(decoded.cache_hits, stats.cache_hits);
-  EXPECT_EQ(decoded.cache_misses, stats.cache_misses);
-  EXPECT_EQ(decoded.evictions, stats.evictions);
-  EXPECT_EQ(decoded.max_batch, stats.max_batch);
-  EXPECT_DOUBLE_EQ(decoded.total_latency_seconds,
-                   stats.total_latency_seconds);
-  EXPECT_DOUBLE_EQ(decoded.total_batch_latency_seconds,
-                   stats.total_batch_latency_seconds);
-  EXPECT_DOUBLE_EQ(decoded.max_batch_latency_seconds,
-                   stats.max_batch_latency_seconds);
-  EXPECT_DOUBLE_EQ(decoded.mean_batch_latency_seconds,
-                   stats.mean_batch_latency_seconds);
-  EXPECT_EQ(decoded.queue_depth, stats.queue_depth);
-  EXPECT_EQ(decoded.resident_banks, stats.resident_banks);
-
-  std::vector<std::uint8_t> skewed = bytes;
-  skewed[0] = 0xff;  // version byte
-  EXPECT_THROW(decode_service_stats(skewed), core::CodecError);
-}
-
 TEST(SearchService, FairSchedulerKeepsRepliesByteIdentical) {
   // The acceptance bar for tenancy: fairness and quotas may reorder or
   // reject, but an ADMITTED query's reply bytes never change. A skewed

@@ -5,6 +5,7 @@
 // ASan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -190,6 +191,24 @@ TEST(Lzss, RejectsTruncationTrailingBytesAndWrongRawSize) {
 
   // Under-declared raw size: the stream produces more than promised.
   EXPECT_EQ(code_of([&] { lzss_decompress(stream, raw.size() - 1, "test"); }),
+            StoreErrorCode::kCorrupt);
+}
+
+TEST(Lzss, AppendsAfterTheCallersPrefixAndNeverReadsIt) {
+  // decompress_store_image decodes behind the header it already holds;
+  // the header must stay as it was, and no match may copy from it.
+  const std::vector<std::uint8_t> prefix(64, 0xab);
+  const std::vector<std::uint8_t> raw = pattern_bytes(5000);
+  std::vector<std::uint8_t> out = prefix;
+  lzss_decompress(lzss_compress(raw), raw.size(), "test", out);
+  ASSERT_EQ(out.size(), prefix.size() + raw.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), out.begin() + 64));
+
+  // One match token, distance 1, before any output of its own.
+  const std::vector<std::uint8_t> reaches_back = {0x01, 0x01, 0x00, 0x00};
+  out = prefix;
+  EXPECT_EQ(code_of([&] { lzss_decompress(reaches_back, 4, "test", out); }),
             StoreErrorCode::kCorrupt);
 }
 

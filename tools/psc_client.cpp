@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "bio/fasta.hpp"
 #include "core/result_codec.hpp"
@@ -25,104 +26,43 @@ namespace {
 
 using namespace psc;
 
+// Prints one stats entry as key=value, in the one format its kind
+// shares: counters and bools as integers, seconds with six decimals. An
+// empty string prints as "unknown" (a router runs no scheduler policy).
+template <typename T>
+void print_entry(const char* name, const T& value) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    std::printf("%s=%s", name, value.empty() ? "unknown" : value.c_str());
+  } else if constexpr (std::is_same_v<T, double>) {
+    std::printf("%s=%.6f", name, value);
+  } else {
+    std::printf("%s=%llu", name, static_cast<unsigned long long>(value));
+  }
+}
+
+// One replica or tenant row on one line, fields in table order.
+template <typename Row>
+void print_row(const Row& row) {
+  const char* separator = "";
+  service::for_each_stat_field(row, [&](const char* name, const auto& value) {
+    std::fputs(separator, stdout);
+    print_entry(name, value);
+    separator = " ";
+  });
+  std::putchar('\n');
+}
+
+// One key=value line per scalar, then a line per replica (a router's
+// table; a plain psc_serve has none) and per tenant.
 void print_stats(const service::ServiceStats& stats) {
-  std::printf("queries_submitted=%llu\n",
-              static_cast<unsigned long long>(stats.queries_submitted));
-  std::printf("queries_completed=%llu\n",
-              static_cast<unsigned long long>(stats.queries_completed));
-  std::printf("queries_failed=%llu\n",
-              static_cast<unsigned long long>(stats.queries_failed));
-  std::printf("batches=%llu\n", static_cast<unsigned long long>(stats.batches));
-  std::printf("cache_hits=%llu\n",
-              static_cast<unsigned long long>(stats.cache_hits));
-  std::printf("cache_misses=%llu\n",
-              static_cast<unsigned long long>(stats.cache_misses));
-  std::printf("evictions=%llu\n",
-              static_cast<unsigned long long>(stats.evictions));
-  std::printf("max_batch=%zu\n", stats.max_batch);
-  std::printf("total_latency_seconds=%.6f\n", stats.total_latency_seconds);
-  std::printf("total_batch_latency_seconds=%.6f\n",
-              stats.total_batch_latency_seconds);
-  std::printf("max_batch_latency_seconds=%.6f\n",
-              stats.max_batch_latency_seconds);
-  std::printf("mean_batch_latency_seconds=%.6f\n",
-              stats.mean_batch_latency_seconds);
-  std::printf("queue_depth=%zu\n", stats.queue_depth);
-  std::printf("resident_banks=%zu\n", stats.resident_banks);
-  std::printf("resident_shards=%zu\n", stats.resident_shards);
-  // Board-residency and scheduler rows (codec v4). A v3-or-older server
-  // never sends them; the decoder leaves the defaults, and printing the
-  // zero rows keeps the output schema stable for scripts.
-  std::printf("board_bitstream_loads=%llu\n",
-              static_cast<unsigned long long>(stats.board_bitstream_loads));
-  std::printf("board_bank_uploads=%llu\n",
-              static_cast<unsigned long long>(stats.board_bank_uploads));
-  std::printf("board_swaps=%llu\n",
-              static_cast<unsigned long long>(stats.board_swaps));
-  std::printf("bank_uploads_skipped=%llu\n",
-              static_cast<unsigned long long>(stats.bank_uploads_skipped));
-  std::printf("board_upload_seconds=%.6f\n", stats.board_upload_seconds);
-  std::printf("board_upload_seconds_saved=%.6f\n",
-              stats.board_upload_seconds_saved);
-  std::printf("accel_modeled_seconds=%.6f\n", stats.accel_modeled_seconds);
-  std::printf("scheduler_rounds=%llu\n",
-              static_cast<unsigned long long>(stats.scheduler_rounds));
-  std::printf("scheduler_reorders=%llu\n",
-              static_cast<unsigned long long>(stats.scheduler_reorders));
-  std::printf("starvation_promotions=%llu\n",
-              static_cast<unsigned long long>(stats.starvation_promotions));
-  std::printf("bank_switches=%llu\n",
-              static_cast<unsigned long long>(stats.bank_switches));
-  std::printf("scheduler_policy=%s\n", stats.scheduler_policy.empty()
-                                           ? "unknown"
-                                           : stats.scheduler_policy.c_str());
-  // A router backend (codec v3) reports its replica table; a plain
-  // psc_serve has no rows and prints nothing extra. The benched/revived
-  // columns ride codec v5; older servers leave them zero.
+  service::for_each_stat_field(stats, [](const char* name, const auto& value) {
+    print_entry(name, value);
+    std::putchar('\n');
+  });
   for (const service::ReplicaStats& replica : stats.replicas) {
-    std::printf(
-        "replica=%s up=%d inflight=%llu requests=%llu retries=%llu "
-        "hedges=%llu failures=%llu benched=%llu revived=%llu "
-        "p50_latency_seconds=%.6f max_latency_seconds=%.6f\n",
-        replica.endpoint.c_str(), replica.up ? 1 : 0,
-        static_cast<unsigned long long>(replica.inflight),
-        static_cast<unsigned long long>(replica.requests),
-        static_cast<unsigned long long>(replica.retries),
-        static_cast<unsigned long long>(replica.hedges),
-        static_cast<unsigned long long>(replica.failures),
-        static_cast<unsigned long long>(replica.benched),
-        static_cast<unsigned long long>(replica.revived),
-        replica.p50_latency_seconds, replica.max_latency_seconds);
+    print_row(replica);
   }
-  // Live-ingest rows (codec v6); older servers leave the defaults.
-  std::printf("manifest_refreshes=%llu\n",
-              static_cast<unsigned long long>(stats.manifest_refreshes));
-  std::printf("refresh_shards_reused=%llu\n",
-              static_cast<unsigned long long>(stats.refresh_shards_reused));
-  std::printf("resident_compressed_shards=%zu\n",
-              stats.resident_compressed_shards);
-  std::printf("store_revision=%llu\n",
-              static_cast<unsigned long long>(stats.store_revision));
-  // Multi-tenant rows (codec v5); a pre-tenancy server sends none.
-  std::printf("fair_scheduler=%d\n", stats.fair_scheduler ? 1 : 0);
-  for (const service::TenantStats& tenant : stats.tenants) {
-    std::printf(
-        "tenant=%s weight=%.3f admitted=%llu rejected=%llu completed=%llu "
-        "failed=%llu queued=%llu total_latency_seconds=%.6f "
-        "max_latency_seconds=%.6f query_residues=%llu resident_bytes=%llu "
-        "hedges=%llu hedges_denied=%llu\n",
-        tenant.name.c_str(), tenant.weight,
-        static_cast<unsigned long long>(tenant.admitted),
-        static_cast<unsigned long long>(tenant.rejected),
-        static_cast<unsigned long long>(tenant.completed),
-        static_cast<unsigned long long>(tenant.failed),
-        static_cast<unsigned long long>(tenant.queued),
-        tenant.total_latency_seconds, tenant.max_latency_seconds,
-        static_cast<unsigned long long>(tenant.query_residues),
-        static_cast<unsigned long long>(tenant.resident_bytes),
-        static_cast<unsigned long long>(tenant.hedges),
-        static_cast<unsigned long long>(tenant.hedges_denied));
-  }
+  for (const service::TenantStats& tenant : stats.tenants) print_row(tenant);
 }
 
 }  // namespace
@@ -136,7 +76,7 @@ int main(int argc, char** argv) {
   args.add_option("tenant", "",
                   "tenant identity: sends a kHello handshake so every "
                   "request on this connection is billed to the named "
-                  "tenant (empty = legacy hello-less connection, billed "
+                  "tenant (empty = no handshake, billed "
                   "to 'default')");
   args.add_option("repeat", "1",
                   "submit the search this many times on one connection; "
