@@ -1,5 +1,6 @@
 // Step-3 gapped-extension kernel shoot-out: the scalar reference vs the
-// portable and AVX2 16-bit tiers, on the two shapes the pipeline runs --
+// portable tier (16-bit lanes) and the AVX2 tier (8-bit X-drop halves,
+// 16-bit banded windows), on the two shapes the pipeline runs --
 // the banded window screen (fixed geometry, deterministic cell count;
 // this is the throughput gate) and the X-drop half extension (content-
 // dependent pruning, reported as halves/sec). The X-drop kernel is timed
@@ -8,8 +9,9 @@
 // blocks wide -- the regime of the ~99.8% of pipeline extensions that
 // are rejected, where per-block and per-row latency dominates. The
 // short-half section also times whole GappedExtender::extend calls
-// (both halves of an anchor), where the AVX2 tier steps its two halves
-// in lockstep. A final end-to-end section
+// (both halves of an anchor, one reused XdropScratch), where the AVX2
+// tier steps its two halves in lockstep and reads the backward half's
+// prefixes in place. A final end-to-end section
 // runs the whole pipeline per --step3-kernel selection and byte-compares
 // the encoded match sections against the scalar run, so the JSON records
 // the bit-identity claim next to the speedups.
@@ -21,7 +23,6 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -175,12 +176,13 @@ int main() {
   const align::GapParams params;  // the pipeline defaults: 11/1/38
   const align::GappedSimdMatrix rows(matrix);
   const bool has_avx2 = align::gapped_avx2_available();
-  if (!align::gapped_simd_applicable(matrix, params)) {
+  if (!align::xdrop_u8_applicable(matrix, params)) {
     std::fprintf(stderr,
                  "step3_kernels: BLOSUM62 + default gap params outside the "
-                 "16-bit tiers' exact range?!\n");
+                 "SIMD tiers' exact range?!\n");
     return 1;
   }
+  align::XdropScratch scratch;
 
   const PairSet pairs = make_pairs(kPairs, kWindowLength, 11);
   const std::size_t cells_per_pass =
@@ -268,14 +270,10 @@ int main() {
     kernels[2].xdrop_halves_per_sec = calibrated_rate(kPairs, [&] {
       std::uint64_t sum = 0;
       for (std::size_t i = 0; i < kPairs; ++i) {
-        const auto half = align::xdrop_gapped_half_avx2(pairs.s0[i],
-                                                        pairs.s1[i], rows,
-                                                        params);
         sum += static_cast<std::uint64_t>(
-            half ? half->score
-                 : align::xdrop_gapped_half(pairs.s0[i], pairs.s1[i], matrix,
-                                            params)
-                       .score);
+            align::xdrop_gapped_half_avx2({pairs.s0[i], pairs.s1[i]}, rows,
+                                          params, scratch)
+                .score);
       }
       check_tier = sum;
     });
@@ -303,11 +301,22 @@ int main() {
                            unrelated.s1[i].end());
   }
   const std::size_t short_halves = halves.s0.size();
-  using HalfTier = std::optional<align::HalfExtension> (*)(
-      std::span<const std::uint8_t>, std::span<const std::uint8_t>,
-      const align::GappedSimdMatrix&, const align::GapParams&);
-  const HalfTier half_tiers[] = {nullptr, align::xdrop_gapped_half_portable,
-                                 align::xdrop_gapped_half_avx2};
+  // One short half on tier k (0 scalar, 1 portable, 2 AVX2); the
+  // portable tier re-runs scalar when its 16-bit guard trips.
+  const auto run_half = [&](std::size_t k, std::size_t i) {
+    if (k == 2) {
+      return align::xdrop_gapped_half_avx2({halves.s0[i], halves.s1[i]},
+                                           rows, params, scratch);
+    }
+    std::optional<align::HalfExtension> half;
+    if (k == 1) {
+      half = align::xdrop_gapped_half_portable(halves.s0[i], halves.s1[i],
+                                               rows, params);
+    }
+    return half ? *half
+                : align::xdrop_gapped_half(halves.s0[i], halves.s1[i], matrix,
+                                           params);
+  };
   const align::GappedKernel extend_tiers[] = {align::GappedKernel::kScalar,
                                               align::GappedKernel::kPortable,
                                               align::GappedKernel::kAvx2};
@@ -317,16 +326,8 @@ int main() {
     kernels[k].short_halves_per_sec = calibrated_rate(short_halves, [&] {
       std::uint64_t sum = 0;
       for (std::size_t i = 0; i < short_halves; ++i) {
-        std::optional<align::HalfExtension> half;
-        if (half_tiers[k] != nullptr) {
-          half = half_tiers[k](halves.s0[i], halves.s1[i], rows, params);
-        }
-        if (!half) {
-          half = align::xdrop_gapped_half(halves.s0[i], halves.s1[i], matrix,
-                                          params);
-        }
-        sum += static_cast<std::uint64_t>(half->score) + half->end0 +
-               half->end1;
+        const align::HalfExtension half = run_half(k, i);
+        sum += static_cast<std::uint64_t>(half.score) + half.end0 + half.end1;
       }
       half_check[k] = sum;
     });
@@ -341,7 +342,7 @@ int main() {
       for (std::size_t i = 0; i < kShortPairs; ++i) {
         const align::Alignment al =
             extender.extend(unrelated.s0[i], unrelated.s1[i], anchor, anchor,
-                            kSeedWidth, /*with_traceback=*/false);
+                            kSeedWidth, /*with_traceback=*/false, scratch);
         sum += static_cast<std::uint64_t>(al.score) + al.begin0 + al.end1;
       }
       extend_check[k] = sum;

@@ -58,6 +58,7 @@ void GappedSimdMatrix::build(const bio::SubstitutionMatrix& matrix) {
       data_[a * kStride + b] = static_cast<std::uint8_t>(s + 128);
     }
   }
+  max_gain_ = std::max(0, static_cast<int>(matrix.max_score()));
 }
 
 bool gapped_simd_applicable(const bio::SubstitutionMatrix& matrix,
@@ -72,6 +73,14 @@ bool gapped_simd_applicable(const bio::SubstitutionMatrix& matrix,
   }
   if (params.open + params.extend > 2048) return false;
   return params.x_drop >= 0 && params.x_drop <= 28000;
+}
+
+bool xdrop_u8_applicable(const bio::SubstitutionMatrix& matrix,
+                         const GapParams& params) noexcept {
+  if (!gapped_simd_applicable(matrix, params)) return false;
+  const int gain = std::max(0, static_cast<int>(matrix.max_score()));
+  const int margin = gain + 1;
+  return params.x_drop + margin + gain + 128 <= 255;
 }
 
 GappedKernel resolve_gapped_kernel(GappedKernel requested,
@@ -235,18 +244,21 @@ GappedExtender::GappedExtender(const bio::SubstitutionMatrix& matrix,
                                const GapParams& params, GappedKernel requested)
     : matrix_(&matrix),
       params_(params),
-      kernel_(resolve_gapped_kernel(requested, matrix, params)) {
+      kernel_(resolve_gapped_kernel(requested, matrix, params)),
+      xdrop_kernel_(kernel_ == GappedKernel::kAvx2 &&
+                            !xdrop_u8_applicable(matrix, params)
+                        ? GappedKernel::kPortable
+                        : kernel_) {
   if (kernel_ != GappedKernel::kScalar) rows_.build(matrix);
 }
 
 HalfExtension GappedExtender::half(std::span<const std::uint8_t> a,
                                    std::span<const std::uint8_t> b) const {
-  switch (kernel_) {
-    case GappedKernel::kAvx2:
-      if (const auto r = xdrop_gapped_half_avx2(a, b, rows_, params_)) {
-        return *r;
-      }
-      break;
+  switch (xdrop_kernel_) {
+    case GappedKernel::kAvx2: {
+      XdropScratch scratch;
+      return xdrop_gapped_half_avx2({a, b}, rows_, params_, scratch);
+    }
     case GappedKernel::kPortable:
       if (const auto r = xdrop_gapped_half_portable(a, b, rows_, params_)) {
         return *r;
@@ -285,6 +297,16 @@ Alignment GappedExtender::extend(std::span<const std::uint8_t> s0,
                                  std::size_t anchor0, std::size_t anchor1,
                                  std::size_t seed_width,
                                  bool with_traceback) const {
+  XdropScratch scratch;
+  return extend(s0, s1, anchor0, anchor1, seed_width, with_traceback,
+                scratch);
+}
+
+Alignment GappedExtender::extend(std::span<const std::uint8_t> s0,
+                                 std::span<const std::uint8_t> s1,
+                                 std::size_t anchor0, std::size_t anchor1,
+                                 std::size_t seed_width, bool with_traceback,
+                                 XdropScratch& scratch) const {
   if (kernel_ == GappedKernel::kScalar) {
     return xdrop_gapped_extend(s0, s1, anchor0, anchor1, seed_width, *matrix_,
                                params_, with_traceback);
@@ -298,26 +320,25 @@ Alignment GappedExtender::extend(std::span<const std::uint8_t> s0,
     seed_score += matrix_->score(s0[anchor0 + k], s1[anchor1 + k]);
   }
 
-  std::vector<std::uint8_t> rev0(
-      s0.begin(), s0.begin() + static_cast<std::ptrdiff_t>(anchor0));
-  std::vector<std::uint8_t> rev1(
-      s1.begin(), s1.begin() + static_cast<std::ptrdiff_t>(anchor1));
-  std::reverse(rev0.begin(), rev0.end());
-  std::reverse(rev1.begin(), rev1.end());
   const auto fwd0 = s0.subspan(anchor0 + seed_width);
   const auto fwd1 = s1.subspan(anchor1 + seed_width);
 
   HalfExtension back, fwd;
-  if (kernel_ == GappedKernel::kAvx2) {
-    // Lockstep halves; a half that trips the guard re-runs alone on the
-    // scalar reference, exactly as half() does.
-    const auto halves =
-        xdrop_gapped_halves_avx2(rev0, rev1, fwd0, fwd1, rows_, params_);
-    back = halves[0] ? *halves[0]
-                     : xdrop_gapped_half(rev0, rev1, *matrix_, params_);
-    fwd = halves[1] ? *halves[1]
-                    : xdrop_gapped_half(fwd0, fwd1, *matrix_, params_);
+  if (xdrop_kernel_ == GappedKernel::kAvx2) {
+    // Lockstep halves; the backward one reads the prefixes from the
+    // anchor backwards in place.
+    const auto halves = xdrop_gapped_halves_avx2(
+        {s0.first(anchor0), s1.first(anchor1), /*backward=*/true},
+        {fwd0, fwd1}, rows_, params_, scratch);
+    back = halves[0];
+    fwd = halves[1];
   } else {
+    std::vector<std::uint8_t> rev0(
+        s0.begin(), s0.begin() + static_cast<std::ptrdiff_t>(anchor0));
+    std::vector<std::uint8_t> rev1(
+        s1.begin(), s1.begin() + static_cast<std::ptrdiff_t>(anchor1));
+    std::reverse(rev0.begin(), rev0.end());
+    std::reverse(rev1.begin(), rev1.end());
     back = half(rev0, rev1);
     fwd = half(fwd0, fwd1);
   }
@@ -352,18 +373,16 @@ Alignment GappedExtender::extend(std::span<const std::uint8_t> s0,
 
 bool gapped_avx2_available() noexcept { return false; }
 
-std::optional<HalfExtension> xdrop_gapped_half_avx2(
-    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-    const GappedSimdMatrix& rows, const GapParams& params) {
-  return xdrop_gapped_half_portable(a, b, rows, params);
+HalfExtension xdrop_gapped_half_avx2(const XdropHalf&,
+                                     const GappedSimdMatrix&,
+                                     const GapParams&, XdropScratch&) {
+  throw std::logic_error("xdrop_gapped_half_avx2: AVX2 tier not built");
 }
 
-std::array<std::optional<HalfExtension>, 2> xdrop_gapped_halves_avx2(
-    std::span<const std::uint8_t> a0, std::span<const std::uint8_t> b0,
-    std::span<const std::uint8_t> a1, std::span<const std::uint8_t> b1,
-    const GappedSimdMatrix& rows, const GapParams& params) {
-  return {xdrop_gapped_half_portable(a0, b0, rows, params),
-          xdrop_gapped_half_portable(a1, b1, rows, params)};
+std::array<HalfExtension, 2> xdrop_gapped_halves_avx2(
+    const XdropHalf&, const XdropHalf&, const GappedSimdMatrix&,
+    const GapParams&, XdropScratch&) {
+  throw std::logic_error("xdrop_gapped_halves_avx2: AVX2 tier not built");
 }
 
 std::optional<int> banded_window_score_avx2(std::span<const std::uint8_t> s0,

@@ -79,9 +79,10 @@ struct PipelineOptions {
 
   /// Which gapped kernel step 3 runs (--step3-kernel). kAuto resolves to
   /// the best SIMD tier that is exact for the matrix/gap configuration;
-  /// every kernel is bit-identical to scalar (the 16-bit tiers re-run a
-  /// call through the scalar reference when the overflow guard trips),
-  /// so this is purely a speed/diagnostic knob.
+  /// every kernel is bit-identical to scalar (the 16-bit kernels re-run
+  /// a call through the scalar reference when the overflow guard trips;
+  /// the 8-bit AVX2 X-drop halves cannot overflow), so this is purely a
+  /// speed/diagnostic knob.
   align::GappedKernel step3_kernel = align::GappedKernel::kAuto;
   double e_value_cutoff = 1e-3;
   /// E-value search space override: the subject-side residue total n in

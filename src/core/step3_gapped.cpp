@@ -119,13 +119,14 @@ std::vector<std::pair<std::size_t, std::size_t>> pair_group_ranges(
 
 /// Extends one sequence-pair group with coverage suppression: once an
 /// accepted alignment covers a later seed, that seed is skipped. Appends
-/// accepted matches to `out`; returns the extensions run.
+/// accepted matches to `out`; returns the extensions run. `scratch` is
+/// the calling worker's X-drop DP buffers.
 std::uint64_t extend_pair_group(
     const bio::SequenceBank& bank0, const bio::SequenceBank& bank1,
     std::span<const align::SeedPairHit> group,
     const align::GappedExtender& extender, const PipelineOptions& options,
     const align::KarlinParams& stats, double total_bank1_residues,
-    std::vector<Match>& out) {
+    align::XdropScratch& scratch, std::vector<Match>& out) {
   std::uint64_t extensions = 0;
   std::vector<Match> accepted;
   for (const align::SeedPairHit& hit : group) {
@@ -143,7 +144,8 @@ std::uint64_t extend_pair_group(
     const auto s1 = bank1.residues(hit.bank1.sequence);
     align::Alignment alignment =
         extender.extend(s0, s1, hit.bank0.offset, hit.bank1.offset,
-                        options.shape.seed_width, options.with_traceback);
+                        options.shape.seed_width, options.with_traceback,
+                        scratch);
 
     const double e =
         align::e_value(alignment.score, static_cast<double>(s0.size()),
@@ -221,17 +223,19 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
   const auto groups = pair_group_ranges(hits);
 
   const auto run_group = [&](const std::pair<std::size_t, std::size_t>& range,
+                             align::XdropScratch& scratch,
                              std::vector<Match>& matches) {
     const auto [begin, end] = range;
     return extend_pair_group(
         bank0, bank1, {hits.data() + begin, end - begin}, extender, options,
         stats.for_query(hits[begin].bank0.sequence), total_bank1_residues,
-        matches);
+        scratch, matches);
   };
 
   if (workers <= 1 || groups.size() <= 1) {
+    align::XdropScratch scratch;
     for (const auto& range : groups) {
-      out.extensions += run_group(range, out.matches);
+      out.extensions += run_group(range, scratch, out.matches);
     }
   } else {
     // Groups are independent (coverage suppression is per pair), so they
@@ -245,8 +249,9 @@ Step3Result run_step3(const bio::SequenceBank& bank0,
     std::vector<std::uint64_t> extensions(chunks.size(), 0);
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       task_group.run([&, c] {
+        align::XdropScratch scratch;  // reused by every group of the chunk
         for (std::size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-          extensions[c] += run_group(groups[g], partial[c]);
+          extensions[c] += run_group(groups[g], scratch, partial[c]);
         }
       });
     }

@@ -1,12 +1,14 @@
 // Property tests for the vectorized step-3 kernel layer: bit-for-bit
 // equivalence of the scalar, portable, and AVX2 gapped kernels over
 // random and homologous pairs, band widths, X-drop thresholds and gap
-// cost grids, plus crafted overflow cases that must trip the 16-bit
-// saturation fallback.
+// cost grids; crafted overflow cases that must trip the portable tier's
+// 16-bit saturation fallback; and the 8-bit X-drop tier's edges (the
+// fix-up row, ties, the range limits, reused scratch, empty halves).
 #include "align/gapped_simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,33 @@ std::vector<std::uint8_t> residues(const bio::Sequence& seq) {
   return {seq.residues().begin(), seq.residues().end()};
 }
 
+std::vector<std::uint8_t> reversed(const std::vector<std::uint8_t>& v) {
+  return {v.rbegin(), v.rend()};
+}
+
+void expect_same_half(const HalfExtension& want, const HalfExtension& got,
+                      const std::string& label) {
+  EXPECT_EQ(want.score, got.score) << label;
+  EXPECT_EQ(want.end0, got.end0) << label;
+  EXPECT_EQ(want.end1, got.end1) << label;
+}
+
+void expect_same_alignment(const Alignment& want, const Alignment& got,
+                           const std::string& label) {
+  EXPECT_EQ(want.score, got.score) << label;
+  EXPECT_EQ(want.begin0, got.begin0) << label;
+  EXPECT_EQ(want.begin1, got.begin1) << label;
+  EXPECT_EQ(want.end0, got.end0) << label;
+  EXPECT_EQ(want.end1, got.end1) << label;
+  EXPECT_EQ(want.ops, got.ops) << label;
+}
+
+/// True when the 8-bit AVX2 X-drop tier can run this configuration here.
+bool u8_tier_runs(const bio::SubstitutionMatrix& matrix,
+                  const GapParams& params) {
+  return gapped_avx2_available() && xdrop_u8_applicable(matrix, params);
+}
+
 /// Scalar vs portable vs AVX2 (when the CPU has it) for both kernels.
 void expect_kernels_agree(const std::vector<std::uint8_t>& a,
                           const std::vector<std::uint8_t>& b,
@@ -43,16 +72,17 @@ void expect_kernels_agree(const std::vector<std::uint8_t>& a,
   const HalfExtension scalar = xdrop_gapped_half(a, b, matrix, params);
   const auto portable = xdrop_gapped_half_portable(a, b, rows, params);
   ASSERT_TRUE(portable.has_value()) << label;
-  EXPECT_EQ(scalar.score, portable->score) << label;
-  EXPECT_EQ(scalar.end0, portable->end0) << label;
-  EXPECT_EQ(scalar.end1, portable->end1) << label;
-  if (gapped_avx2_available()) {
-    const auto avx2 = xdrop_gapped_half_avx2(a, b, rows, params);
-    ASSERT_TRUE(avx2.has_value()) << label;
-    EXPECT_EQ(scalar.score, avx2->score) << label;
-    EXPECT_EQ(scalar.end0, avx2->end0) << label;
-    EXPECT_EQ(scalar.end1, avx2->end1) << label;
+  expect_same_half(scalar, *portable, label);
+  if (u8_tier_runs(matrix, params)) {
+    XdropScratch scratch;
+    expect_same_half(scalar,
+                     xdrop_gapped_half_avx2({a, b}, rows, params, scratch),
+                     label + " u8");
   }
+  // The AVX2 extender's halves: 8-bit in range, portable outside it.
+  expect_same_half(
+      scalar, GappedExtender(matrix, params, GappedKernel::kAvx2).half(a, b),
+      label + " extender");
 
   for (const std::size_t band : {std::size_t{0}, std::size_t{1}, std::size_t{4},
                                  std::size_t{16}, std::size_t{100}}) {
@@ -121,20 +151,22 @@ TEST(GappedSimd, HomologousPairsAgree) {
 
 TEST(GappedSimd, OverflowTripsFallbackAndStaysExact) {
   // ~3100 tryptophans self-aligned score 11 per column under BLOSUM62:
-  // past +32k, so the 16-bit tiers must refuse (nullopt) rather than
-  // saturate, and the extender must transparently re-run scalar.
+  // past +32k, so the 16-bit kernels (the portable tier, the banded
+  // kernels) must refuse (nullopt) rather than saturate, and the
+  // extender must transparently re-run scalar. x_drop = 28000 is far
+  // outside the 8-bit range, so the X-drop halves resolve to portable.
   const auto& matrix = bio::SubstitutionMatrix::blosum62();
   const std::vector<std::uint8_t> w(
       3100, bio::Sequence::protein_from_letters("w", "W").residues()[0]);
   GapParams params;
   params.x_drop = 28000;  // keep the whole band alive to the end
   ASSERT_TRUE(gapped_simd_applicable(matrix, params));
+  ASSERT_FALSE(xdrop_u8_applicable(matrix, params));
   const GappedSimdMatrix rows(matrix);
 
   EXPECT_FALSE(xdrop_gapped_half_portable(w, w, rows, params).has_value());
   EXPECT_FALSE(banded_window_score_portable(w, w, 4, params, rows).has_value());
   if (gapped_avx2_available()) {
-    EXPECT_FALSE(xdrop_gapped_half_avx2(w, w, rows, params).has_value());
     EXPECT_FALSE(banded_window_score_avx2(w, w, 4, params, rows).has_value());
   }
 
@@ -143,6 +175,8 @@ TEST(GappedSimd, OverflowTripsFallbackAndStaysExact) {
   for (const GappedKernel kernel :
        {GappedKernel::kPortable, GappedKernel::kAvx2, GappedKernel::kAuto}) {
     const GappedExtender extender(matrix, params, kernel);
+    EXPECT_EQ(extender.xdrop_kernel(), GappedKernel::kPortable)
+        << gapped_kernel_name(kernel);
     const HalfExtension half = extender.half(w, w);
     EXPECT_EQ(scalar.score, half.score) << gapped_kernel_name(kernel);
     EXPECT_EQ(scalar.end0, half.end0) << gapped_kernel_name(kernel);
@@ -154,9 +188,8 @@ TEST(GappedSimd, OverflowTripsFallbackAndStaysExact) {
 }
 
 TEST(GappedSimd, NearOverflowScoresStayExact) {
-  // Scores just under the guard must be produced by the SIMD tiers
-  // themselves (no fallback): ~2900 * 11 = 31900 < 32767 - 256 is past
-  // the guard... use 2800 -> 30800, inside the guarded range.
+  // Scores just under the guard must be produced by the portable tier
+  // itself (no fallback): 2800 * 11 = 30800 < 32767 - 256.
   const auto& matrix = bio::SubstitutionMatrix::blosum62();
   const std::vector<std::uint8_t> w(
       2800, bio::Sequence::protein_from_letters("w", "W").residues()[0]);
@@ -167,22 +200,17 @@ TEST(GappedSimd, NearOverflowScoresStayExact) {
   ASSERT_LT(scalar.score, 32767 - 256);
   const auto portable = xdrop_gapped_half_portable(w, w, rows, params);
   ASSERT_TRUE(portable.has_value());
-  EXPECT_EQ(scalar.score, portable->score);
-  if (gapped_avx2_available()) {
-    const auto avx2 = xdrop_gapped_half_avx2(w, w, rows, params);
-    ASSERT_TRUE(avx2.has_value());
-    EXPECT_EQ(scalar.score, avx2->score);
-  }
+  expect_same_half(scalar, *portable, "portable");
 }
 
 /// Every kernel's extend() against the scalar xdrop_gapped_extend, with
 /// and (when `traceback`) without re-alignment.
-void expect_extend_matches(const std::vector<std::uint8_t>& s0,
-                           const std::vector<std::uint8_t>& s1,
-                           std::size_t anchor0, std::size_t anchor1,
-                           const GapParams& params, const std::string& label,
-                           bool traceback = true) {
-  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+void expect_extend_matches(
+    const std::vector<std::uint8_t>& s0, const std::vector<std::uint8_t>& s1,
+    std::size_t anchor0, std::size_t anchor1, const GapParams& params,
+    const std::string& label, bool traceback = true,
+    const bio::SubstitutionMatrix& matrix =
+        bio::SubstitutionMatrix::blosum62()) {
   for (const bool with_traceback : {false, true}) {
     if (with_traceback && !traceback) continue;
     const Alignment scalar = xdrop_gapped_extend(
@@ -193,14 +221,9 @@ void expect_extend_matches(const std::vector<std::uint8_t>& s0,
       const GappedExtender extender(matrix, params, kernel);
       const Alignment got =
           extender.extend(s0, s1, anchor0, anchor1, 4, with_traceback);
-      const std::string where = label + " " + gapped_kernel_name(kernel) +
-                                " tb=" + std::to_string(with_traceback);
-      EXPECT_EQ(scalar.score, got.score) << where;
-      EXPECT_EQ(scalar.begin0, got.begin0) << where;
-      EXPECT_EQ(scalar.begin1, got.begin1) << where;
-      EXPECT_EQ(scalar.end0, got.end0) << where;
-      EXPECT_EQ(scalar.end1, got.end1) << where;
-      EXPECT_EQ(scalar.ops, got.ops) << where;
+      expect_same_alignment(scalar, got,
+                            label + " " + gapped_kernel_name(kernel) +
+                                " tb=" + std::to_string(with_traceback));
     }
   }
 }
@@ -249,8 +272,10 @@ std::vector<std::uint8_t> diverged(const std::vector<std::uint8_t>& a,
   return out;
 }
 
-/// Scalar vs portable vs AVX2 X-drop halves on (score, end0, end1); on
-/// AVX2 also the lockstep pair entry point, run on (a, b) beside (b, a).
+/// Scalar vs portable vs 8-bit AVX2 X-drop halves on (score, end0,
+/// end1); on AVX2 also the lockstep pair entry point, run on (a, b)
+/// beside (b, a) read backwards from reversed copies. Configurations
+/// outside the 8-bit range check the AVX2 extender's portable halves.
 void expect_halves_agree(const std::vector<std::uint8_t>& a,
                          const std::vector<std::uint8_t>& b,
                          const bio::SubstitutionMatrix& matrix,
@@ -259,25 +284,26 @@ void expect_halves_agree(const std::vector<std::uint8_t>& a,
   const HalfExtension scalar = xdrop_gapped_half(a, b, matrix, params);
   const auto portable = xdrop_gapped_half_portable(a, b, rows, params);
   ASSERT_TRUE(portable.has_value()) << label;
-  EXPECT_EQ(scalar.score, portable->score) << label;
-  EXPECT_EQ(scalar.end0, portable->end0) << label;
-  EXPECT_EQ(scalar.end1, portable->end1) << label;
-  if (!gapped_avx2_available()) return;
-  const auto avx2 = xdrop_gapped_half_avx2(a, b, rows, params);
-  ASSERT_TRUE(avx2.has_value()) << label;
-  EXPECT_EQ(scalar.score, avx2->score) << label;
-  EXPECT_EQ(scalar.end0, avx2->end0) << label;
-  EXPECT_EQ(scalar.end1, avx2->end1) << label;
+  expect_same_half(scalar, *portable, label);
+  if (!u8_tier_runs(matrix, params)) {
+    expect_same_half(
+        scalar,
+        GappedExtender(matrix, params, GappedKernel::kAvx2).half(a, b),
+        label + " extender");
+    return;
+  }
+  XdropScratch scratch;
+  expect_same_half(scalar,
+                   xdrop_gapped_half_avx2({a, b}, rows, params, scratch),
+                   label + " u8");
 
   const HalfExtension swapped = xdrop_gapped_half(b, a, matrix, params);
-  const auto pair = xdrop_gapped_halves_avx2(a, b, b, a, rows, params);
-  ASSERT_TRUE(pair[0].has_value() && pair[1].has_value()) << label;
-  EXPECT_EQ(scalar.score, pair[0]->score) << label << " lockstep";
-  EXPECT_EQ(scalar.end0, pair[0]->end0) << label << " lockstep";
-  EXPECT_EQ(scalar.end1, pair[0]->end1) << label << " lockstep";
-  EXPECT_EQ(swapped.score, pair[1]->score) << label << " lockstep swapped";
-  EXPECT_EQ(swapped.end0, pair[1]->end0) << label << " lockstep swapped";
-  EXPECT_EQ(swapped.end1, pair[1]->end1) << label << " lockstep swapped";
+  const auto rb = reversed(b);
+  const auto ra = reversed(a);
+  const auto pair = xdrop_gapped_halves_avx2(
+      {a, b}, {rb, ra, /*backward=*/true}, rows, params, scratch);
+  expect_same_half(scalar, pair[0], label + " lockstep");
+  expect_same_half(swapped, pair[1], label + " lockstep swapped backward");
 }
 
 TEST(GappedSimd, ManyPairSweepAgreesOnEveryTier) {
@@ -390,7 +416,9 @@ TEST(GappedSimd, ExtendWithAnEmptyHalfMatchesScalar) {
 
 TEST(GappedSimd, ExtendReRunsOnlyTheOverflowingHalf) {
   // One half self-aligns ~3000 tryptophans (past +32k, so it trips the
-  // 16-bit guard); the other half is an ordinary short extension. No
+  // portable tier's 16-bit guard); the other half is an ordinary short
+  // extension. The 8-bit tier stores cells relative to the running best,
+  // so it runs the same half to the end without any guard. No
   // traceback: re-aligning a 3000 x 3000 region adds nothing here.
   const auto& matrix = bio::SubstitutionMatrix::blosum62();
   const GapParams params;
@@ -422,16 +450,351 @@ TEST(GappedSimd, ExtendReRunsOnlyTheOverflowingHalf) {
   expect_extend_matches(t0, t1, tail0.size(), tail1.size(), params,
                         "forward overflows", /*traceback=*/false);
 
-  if (gapped_avx2_available()) {
-    const auto pair =
-        xdrop_gapped_halves_avx2(poly_w, poly_w, tail0, tail1, rows, params);
-    EXPECT_FALSE(pair[0].has_value());
-    ASSERT_TRUE(pair[1].has_value());
-    const HalfExtension scalar =
-        xdrop_gapped_half(tail0, tail1, matrix, params);
-    EXPECT_EQ(scalar.score, pair[1]->score);
-    EXPECT_EQ(scalar.end0, pair[1]->end0);
-    EXPECT_EQ(scalar.end1, pair[1]->end1);
+  EXPECT_FALSE(
+      xdrop_gapped_half_portable(poly_w, poly_w, rows, params).has_value());
+  const auto tail = xdrop_gapped_half_portable(tail0, tail1, rows, params);
+  ASSERT_TRUE(tail.has_value());
+  expect_same_half(xdrop_gapped_half(tail0, tail1, matrix, params), *tail,
+                   "portable tail");
+
+  if (u8_tier_runs(matrix, params)) {
+    const HalfExtension scalar = xdrop_gapped_half(poly_w, poly_w, matrix,
+                                                   params);
+    ASSERT_GT(scalar.score, 32767);
+    XdropScratch scratch;
+    const auto pair = xdrop_gapped_halves_avx2(
+        {poly_w, poly_w, /*backward=*/true}, {tail0, tail1}, rows, params,
+        scratch);
+    expect_same_half(scalar, pair[0], "u8 poly-W");
+    expect_same_half(xdrop_gapped_half(tail0, tail1, matrix, params), pair[1],
+                     "u8 tail");
+  }
+}
+
+/// One letter's residue code.
+std::uint8_t code_of(char letter) {
+  return bio::Sequence::protein_from_letters("r", std::string(1, letter))
+      .residues()[0];
+}
+
+/// Rows of the scalar X-drop half (the recurrence of xdrop_gapped_half)
+/// that prune a cell at or above the row-start threshold best - x_drop:
+/// the best rose earlier in the row, so these are cells the 8-bit tier's
+/// optimistic prune keeps and its fix-up pass must drop.
+std::size_t rows_with_late_prunes(const std::vector<std::uint8_t>& a,
+                                  const std::vector<std::uint8_t>& b,
+                                  const bio::SubstitutionMatrix& matrix,
+                                  const GapParams& params) {
+  constexpr int kNeg = -(1 << 28);
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  if (n == 0 || m == 0) return 0;
+  const int go = params.open + params.extend;
+  const int ge = params.extend;
+  const int x = params.x_drop;
+  std::vector<int> h_prev(m + 1, kNeg), f_prev(m + 1, kNeg);
+  std::vector<int> h_cur(m + 1), f_cur(m + 1);
+  int best = 0;
+  std::size_t lo = 0, hi = 0;
+  h_prev[0] = 0;
+  int e = kNeg;
+  for (std::size_t j = 1; j <= m; ++j) {
+    e = std::max(h_prev[j - 1] - go, e - ge);
+    h_prev[j] = e;
+    if (e < best - x) break;
+    hi = j;
+  }
+  std::size_t rows = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    std::fill(h_cur.begin(), h_cur.end(), kNeg);
+    std::fill(f_cur.begin(), f_cur.end(), kNeg);
+    const int start = best;
+    bool late_prune = false;
+    bool any_live = false;
+    std::size_t new_lo = m + 1, new_hi = 0;
+    e = kNeg;
+    for (std::size_t j = lo; j <= std::min(hi + 1, m); ++j) {
+      f_cur[j] = std::max(h_prev[j] - go, f_prev[j] - ge);
+      int value = f_cur[j];
+      if (j > 0) {
+        e = std::max(h_cur[j - 1] - go, e - ge);
+        value = std::max(value, e);
+        if (h_prev[j - 1] > kNeg / 2) {
+          value = std::max(value, h_prev[j - 1] + matrix.score(a[i - 1],
+                                                               b[j - 1]));
+        }
+      }
+      if (value < best - x) {
+        late_prune = late_prune || value >= start - x;
+        continue;
+      }
+      h_cur[j] = value;
+      any_live = true;
+      new_lo = std::min(new_lo, j);
+      new_hi = j;
+      best = std::max(best, value);
+    }
+    if (!any_live) break;
+    rows += late_prune ? 1 : 0;
+    lo = new_lo;
+    hi = new_hi;
+    std::swap(h_prev, h_cur);
+    std::swap(f_prev, f_cur);
+  }
+  return rows;
+}
+
+TEST(GappedSimd, FixUpRowsMatchScalar) {
+  // A row raises the best by at most the max score S = M - 1 (one
+  // diagonal step). Self-aligned poly-W rises by exactly S on every row.
+  // W-rich random pairs under small x_drop give rows where the best
+  // rises and then cells that cleared the row-start threshold fall below
+  // the new one: the optimistic prune keeps them, the fix-up drops them.
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  const GappedSimdMatrix rows(matrix);
+  const std::vector<std::uint8_t> poly_w(70, code_of('W'));
+  util::Xoshiro256 rng(59);
+  const std::uint8_t letters[] = {code_of('W'), code_of('W'), code_of('C'),
+                                  code_of('A'), code_of('Y')};
+  std::size_t late_rows = 0;
+  for (const int x_drop : {0, 3, 8, 12, 20}) {
+    for (const auto& [open, extend] :
+         std::vector<std::pair<int, int>>{{11, 1}, {2, 1}, {0, 3}}) {
+      GapParams params;
+      params.open = open;
+      params.extend = extend;
+      params.x_drop = x_drop;
+      const std::string where = "x=" + std::to_string(x_drop) +
+                                " open=" + std::to_string(open) +
+                                " ext=" + std::to_string(extend);
+      expect_halves_agree(poly_w, poly_w, matrix, rows, params,
+                          "poly-W " + where);
+      for (int trial = 0; trial < 30; ++trial) {
+        std::vector<std::uint8_t> a(20 + rng.bounded(60));
+        for (auto& r : a) r = letters[rng.bounded(5)];
+        std::vector<std::uint8_t> b = a;
+        for (auto& r : b) {
+          if (rng.bounded(4) == 0) r = letters[rng.bounded(5)];
+        }
+        late_rows += rows_with_late_prunes(a, b, matrix, params);
+        expect_halves_agree(a, b, matrix, rows, params,
+                            where + " trial=" + std::to_string(trial));
+      }
+    }
+  }
+  EXPECT_GT(late_rows, 0u);
+
+  // Pairs where keeping those cells would change the result: a kept
+  // cell seeds a diagonal that climbs past the best, or widens the next
+  // row's range.
+  struct Case {
+    const char* a;
+    const char* b;
+    int open, extend, x_drop;
+  };
+  const Case cases[] = {
+      {"WACWCWAWCACCWCWWWYYWAWWAWCWWCCY", "WAAWCWAWCCWCWWAWWYYYAWWACCWWCCY",
+       2, 1, 3},
+      {"YWYYCWAWCCWCYWCACCAY", "WWCWYWYWYWYCCCWWACYYWWW", 0, 3, 8},
+      {"WWWWGWGGWWGWGWWGWGGWGGWGWWGGWGGWGGGWGGGWWGGWGGWGWGWGWWW",
+       "WWGWWWGWGGWWGWGWWGGWGGGWGGWGWGWGGWGGWGGWGGGGWWGGGGWGWWGWGWGWW", 0, 3,
+       8},
+      {"GGGWGGGGGWGGWGGWGGGGGGGGGGGGGWGGGGGGGGGGGGWGGGGGGGGGGGWGGGGGGGWG",
+       "GGWGGGGGGGGGGGGGGGGGGGGWWGGGGWWWWGGG", 0, 3, 8},
+      // Two diagonals 32 or more columns apart: the best rises on the
+      // left one, the cells it dooms lie on the right one, a block or
+      // more later, so the fix-up's P must carry across blocks.
+      {"NCCWMCKPWKPWLMMLMNLNCMMNWMGKWGNPNCKGCWNMCNNMPMKKLCGNLLMKLGMMWLPN",
+       "WMWGLKMPGNPMGPMMCMKCLCKCNNMMLGGNNMMMNKWMWNGGKLMPWWPCCPWMLPKWCPWMCKPW"
+       "KPWLMWLMNLNMMMNWMGKWKNPNCKGLLNMCNNMPMLPLCGNLLMKLGMMWLMN",
+       6, 1, 33},
+      {"MNNCMLNCPCLWCMPKGKWMCCCGCNMKCNWGMKWWCGGMLWWLNWMNCWKCWMGLKNNGPM",
+       "MNLCMLCPKMCKGLGCWWMMKPMLNWCMWCGWNWMMKMLWCCMGLKMKCPKKCPWMCCNLCPWNKNCP"
+       "CLWCMPKWKWMCCCGCNLKCNWGMKWWGGGMLGWLNWMNLWKCLMCKKNNGPM",
+       6, 1, 43},
+  };
+  for (const Case& c : cases) {
+    GapParams params;
+    params.open = c.open;
+    params.extend = c.extend;
+    params.x_drop = c.x_drop;
+    const auto a = bio::Sequence::protein_from_letters("a", c.a).residues();
+    const auto b = bio::Sequence::protein_from_letters("b", c.b).residues();
+    expect_halves_agree({a.begin(), a.end()}, {b.begin(), b.end()}, matrix,
+                        rows, params, std::string("case ") + c.a);
+  }
+}
+
+TEST(GappedSimd, TiedRowMaxKeepsTheEarlierBest) {
+  // W-W scores 11 in row 1; row 2's diagonal adds A-T = 0, so its max
+  // only ties the best. The scalar strict '>' keeps (1, 1): no fix-up
+  // runs and the best cell stays where it was.
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  const GappedSimdMatrix rows(matrix);
+  std::vector<std::uint8_t> a = {code_of('W'), code_of('A')};
+  std::vector<std::uint8_t> b = {code_of('W'), code_of('T')};
+  for (int k = 0; k < 40; ++k) {
+    a.push_back(code_of('P'));
+    b.push_back(code_of('W'));
+  }
+  for (const int x_drop : {0, 11, 38, 104}) {
+    GapParams params;
+    params.x_drop = x_drop;
+    const std::string where = "x=" + std::to_string(x_drop);
+    const HalfExtension scalar = xdrop_gapped_half(a, b, matrix, params);
+    ASSERT_EQ(scalar.score, 11) << where;
+    ASSERT_EQ(scalar.end0, 1u) << where;
+    ASSERT_EQ(scalar.end1, 1u) << where;
+    expect_halves_agree(a, b, matrix, rows, params, where);
+    // The same tie seen by the backward half of an extension.
+    std::vector<std::uint8_t> s0 = reversed(a), s1 = reversed(b);
+    for (const char seed : {'K', 'L', 'M', 'N'}) {
+      s0.push_back(code_of(seed));
+      s1.push_back(code_of(seed));
+    }
+    expect_extend_matches(s0, s1, a.size(), b.size(), params, where);
+  }
+}
+
+/// Homologous and unrelated pairs through the raw halves and extend().
+void expect_pairs_agree(const bio::SubstitutionMatrix& matrix,
+                        const GapParams& params, util::Xoshiro256& rng,
+                        const std::string& label) {
+  const GappedSimdMatrix rows(matrix);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto s0 = random_codes(80 + rng.bounded(200), rng);
+    const auto s1 = trial % 2 == 0 ? diverged(s0, rng)
+                                   : random_codes(80 + rng.bounded(200), rng);
+    const std::string where = label + " trial=" + std::to_string(trial);
+    expect_halves_agree(s0, s1, matrix, rows, params, where);
+    const std::size_t anchor0 = s0.size() / 2;
+    const std::size_t anchor1 = std::min(anchor0, s1.size() - 4);
+    expect_extend_matches(s0, s1, anchor0, anchor1, params, where,
+                          /*traceback=*/true, matrix);
+  }
+}
+
+TEST(GappedSimd, XdropRangeEdgeKeepsTheSameBits) {
+  // x_drop = 104 is the widest the 8-bit tier takes under BLOSUM62
+  // (104 + 12 + 11 + 128 = 255); 105 resolves the X-drop halves to the
+  // portable tier, and both give the scalar bits.
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  util::Xoshiro256 rng(61);
+  for (const int x_drop : {104, 105}) {
+    GapParams params;
+    params.x_drop = x_drop;
+    EXPECT_EQ(xdrop_u8_applicable(matrix, params), x_drop == 104);
+    const GappedExtender extender(matrix, params, GappedKernel::kAvx2);
+    if (x_drop == 105) {
+      EXPECT_EQ(extender.xdrop_kernel(), GappedKernel::kPortable);
+    }
+    expect_pairs_agree(matrix, params, rng, "x=" + std::to_string(x_drop));
+  }
+}
+
+TEST(GappedSimd, MatrixMaxScoreAtTheRangeLimit) {
+  // With x_drop = 38 the 8-bit tier takes a max score up to S = 44
+  // (38 + 45 + 44 + 128 = 255): every diagonal step can reach the top
+  // byte. S = 45 is refused and runs portable.
+  GapParams params;
+  util::Xoshiro256 rng(67);
+  for (const int top : {44, 45}) {
+    const bio::SubstitutionMatrix matrix =
+        bio::SubstitutionMatrix::identity(static_cast<std::int16_t>(top), -20);
+    EXPECT_EQ(xdrop_u8_applicable(matrix, params), top == 44);
+    expect_pairs_agree(matrix, params, rng, "S=" + std::to_string(top));
+  }
+}
+
+TEST(GappedSimd, ReusedScratchLeaksNoStaleCells) {
+  // One worker's scratch serves every extension it runs: a long
+  // homologous extension leaves wide rows of high cells behind, and the
+  // short extensions after it -- also after the buffers are overwritten
+  // with noise -- must read none of them.
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  const GapParams params;
+  if (!u8_tier_runs(matrix, params)) GTEST_SKIP() << "no AVX2";
+  const GappedSimdMatrix rows(matrix);
+  const GappedExtender extender(matrix, params, GappedKernel::kAvx2);
+  util::Xoshiro256 rng(71);
+  const auto long0 = random_codes(1500, rng);
+  const auto long1 = diverged(long0, rng);
+  XdropScratch scratch;
+  for (int round = 0; round < 4; ++round) {
+    const std::string where = "round=" + std::to_string(round);
+    expect_same_alignment(
+        xdrop_gapped_extend(long0, long1, 700, 680, 4, matrix, params),
+        extender.extend(long0, long1, 700, 680, 4, false, scratch),
+        where + " long");
+    if (round % 2 == 1) {
+      for (auto& half : scratch.halves) {
+        for (auto& byte : half) byte = static_cast<std::uint8_t>(rng());
+      }
+    }
+    for (int k = 0; k < 12; ++k) {
+      const auto s0 = random_codes(4 + rng.bounded(40), rng);
+      const auto s1 =
+          k % 2 == 0 ? diverged(s0, rng) : random_codes(4 + rng.bounded(40), rng);
+      if (s1.size() < 4) continue;
+      const std::size_t anchor0 = rng.bounded(s0.size() - 3);
+      const std::size_t anchor1 = rng.bounded(s1.size() - 3);
+      const std::string label = where + " short k=" + std::to_string(k);
+      for (const bool traceback : {false, true}) {
+        expect_same_alignment(
+            xdrop_gapped_extend(s0, s1, anchor0, anchor1, 4, matrix, params,
+                                traceback),
+            extender.extend(s0, s1, anchor0, anchor1, 4, traceback, scratch),
+            label);
+      }
+      expect_same_half(xdrop_gapped_half(s0, s1, matrix, params),
+                       xdrop_gapped_half_avx2({s0, s1}, rows, params, scratch),
+                       label + " half");
+    }
+  }
+}
+
+TEST(GappedSimd, EmptyHalvesReadBackwardsInPlace) {
+  // Anchors at 0 leave nothing before the seed, anchors at the last
+  // seed position nothing after it; sequences one seed long empty both
+  // halves. The backward half reads its prefixes in place, so exactly
+  // sized heap sequences let ASan catch a read before or past either.
+  const auto& matrix = bio::SubstitutionMatrix::blosum62();
+  const GapParams params;
+  util::Xoshiro256 rng(73);
+  XdropScratch scratch;
+  const GappedExtender extender(matrix, params);
+  for (const std::size_t length : {4, 5, 9, 33, 64, 65}) {
+    const auto s0 = random_codes(length, rng);
+    auto s1 = diverged(s0, rng);
+    if (s1.size() < 4) s1 = s0;
+    const std::size_t last0 = s0.size() - 4;
+    const std::size_t last1 = s1.size() - 4;
+    const std::pair<std::size_t, std::size_t> anchors[] = {
+        {0, 0}, {0, last1}, {last0, 0}, {last0, last1}};
+    for (const auto& [anchor0, anchor1] : anchors) {
+      const std::string where = "len=" + std::to_string(length) + " anchors=" +
+                                std::to_string(anchor0) + "," +
+                                std::to_string(anchor1);
+      for (const bool traceback : {false, true}) {
+        expect_same_alignment(
+            xdrop_gapped_extend(s0, s1, anchor0, anchor1, 4, matrix, params,
+                                traceback),
+            extender.extend(s0, s1, anchor0, anchor1, 4, traceback, scratch),
+            where);
+      }
+    }
+  }
+  if (!u8_tier_runs(matrix, params)) return;
+  const GappedSimdMatrix rows(matrix);
+  const auto some = random_codes(20, rng);
+  const std::vector<std::uint8_t> none;
+  for (const bool backward : {false, true}) {
+    expect_same_half({}, xdrop_gapped_half_avx2({none, some, backward}, rows,
+                                                params, scratch),
+                     "empty a");
+    expect_same_half({}, xdrop_gapped_half_avx2({some, none, backward}, rows,
+                                                params, scratch),
+                     "empty b");
   }
 }
 
@@ -459,9 +822,42 @@ TEST(GappedSimd, ResolutionNamesAndApplicability) {
   GapParams huge_xdrop = defaults;
   huge_xdrop.x_drop = 30000;
   EXPECT_FALSE(gapped_simd_applicable(blosum, huge_xdrop));
+  EXPECT_FALSE(xdrop_u8_applicable(blosum, huge_xdrop));
   bio::SubstitutionMatrix wide = bio::SubstitutionMatrix::identity(1, -1);
   wide.set_score(0, 0, 200);
   EXPECT_FALSE(gapped_simd_applicable(wide, defaults));
+  EXPECT_FALSE(xdrop_u8_applicable(wide, defaults));
+
+  // The 8-bit range: x_drop + M + S + 128 <= 255 with S = 11, M = 12.
+  EXPECT_TRUE(xdrop_u8_applicable(blosum, defaults));
+  GapParams widest = defaults;
+  widest.x_drop = 104;
+  EXPECT_TRUE(xdrop_u8_applicable(blosum, widest));
+  GapParams refused = defaults;
+  refused.x_drop = 105;
+  EXPECT_TRUE(gapped_simd_applicable(blosum, refused));
+  EXPECT_FALSE(xdrop_u8_applicable(blosum, refused));
+  EXPECT_FALSE(xdrop_u8_applicable(blosum, negative_open));
+  // A matrix whose max score is negative still needs a margin of 1.
+  const bio::SubstitutionMatrix all_negative =
+      bio::SubstitutionMatrix::identity(-1, -2);
+  GapParams tight = defaults;
+  tight.x_drop = 126;
+  EXPECT_TRUE(xdrop_u8_applicable(all_negative, tight));
+  tight.x_drop = 127;
+  EXPECT_FALSE(xdrop_u8_applicable(all_negative, tight));
+
+  const GappedKernel tier =
+      gapped_avx2_available() ? GappedKernel::kAvx2 : GappedKernel::kPortable;
+  const GappedExtender in_range(blosum, widest, GappedKernel::kAvx2);
+  EXPECT_EQ(in_range.kernel(), tier);
+  EXPECT_EQ(in_range.xdrop_kernel(), tier);
+  const GappedExtender out_of_range(blosum, refused, GappedKernel::kAvx2);
+  EXPECT_EQ(out_of_range.kernel(), tier);
+  EXPECT_EQ(out_of_range.xdrop_kernel(), GappedKernel::kPortable);
+  EXPECT_EQ(GappedExtender(blosum, refused, GappedKernel::kScalar)
+                .xdrop_kernel(),
+            GappedKernel::kScalar);
 
   for (const GappedKernel kernel :
        {GappedKernel::kAuto, GappedKernel::kScalar, GappedKernel::kPortable,
