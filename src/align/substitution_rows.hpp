@@ -19,8 +19,8 @@
 // built once per matrix and engine, addressed by the (IL0 residue, IL1
 // residue) pair and never rebuilt per window. The SIMD kernel also
 // exploits that a 32-entry u8 row fits in two 128-bit registers, so the
-// column lookup is a pair of in-register shuffles instead of a memory
-// gather.
+// column lookup is a pair of in-register shuffles (AVX2) or one vpermb
+// (AVX-512 VBMI) instead of a memory gather.
 #pragma once
 
 #include <cstdint>

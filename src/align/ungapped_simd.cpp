@@ -106,6 +106,11 @@ void ungapped_screen_rows_vs_striped(std::span<const std::uint8_t> window0,
                                      int threshold,
                                      std::vector<WindowScore>& candidates) {
   static const SimdTier tier = best_simd_tier();
+  if (tier == SimdTier::kAvx512) {
+    ungapped_screen_rows_vs_striped_avx512(window0, rows, windows, threshold,
+                                           candidates);
+    return;
+  }
   if (tier == SimdTier::kAvx2) {
     ungapped_screen_rows_vs_striped_avx2(window0, rows, windows, threshold,
                                          candidates);
@@ -174,6 +179,16 @@ void UngappedHitFinder::hits(std::span<const std::uint8_t> window0,
 }
 
 #if !(defined(__x86_64__) || defined(__i386__)) || !defined(__GNUC__)
+
+bool ungapped_avx512_available() noexcept { return false; }
+
+void ungapped_screen_rows_vs_striped_avx512(
+    std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
+    const index::StripedWindows& windows, int threshold,
+    std::vector<WindowScore>& candidates) {
+  ungapped_screen_rows_vs_striped_portable(window0, rows, windows, threshold,
+                                           candidates);
+}
 
 bool ungapped_avx2_available() noexcept { return false; }
 

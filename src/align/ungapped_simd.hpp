@@ -44,7 +44,14 @@
 // screened against many IL1 windows striped across lanes (see
 // index::StripedWindows).
 //
-// Three tiers, selected at runtime (align/cpu_features.hpp):
+// Four tiers, selected at runtime (align/cpu_features.hpp); every vector
+// tier runs the recurrence above on the same biased rows and threshold,
+// so the exactness argument holds for each word for word:
+//   avx512   -- 512-bit lanes (AVX-512 BW/VL/VBMI), two 64-window groups
+//               per loop, then one 64-window zmm and one 32-window ymm
+//               remainder; the 32-entry row is one register and the
+//               lookup is a single vpermb, passing lanes come straight
+//               out of an unsigned compare as a bit mask.
 //   avx2     -- 256-bit lanes, two 32-window groups per loop; the
 //               substitution-row lookup is two in-register pshufb
 //               shuffles + blend (the 32-entry row spans two 128-bit
@@ -185,6 +192,17 @@ void ungapped_screen_rows_vs_striped(std::span<const std::uint8_t> window0,
 
 /// Portable tier, callable directly (tests, benches).
 void ungapped_screen_rows_vs_striped_portable(
+    std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
+    const index::StripedWindows& windows, int threshold,
+    std::vector<WindowScore>& candidates);
+
+/// True when the AVX-512 tier can run on this CPU.
+bool ungapped_avx512_available() noexcept;
+
+/// AVX-512 tier; falls back to the portable tier on non-x86 builds. Must
+/// not be called when ungapped_avx512_available() is false on an x86
+/// build.
+void ungapped_screen_rows_vs_striped_avx512(
     std::span<const std::uint8_t> window0, const SubstitutionRows& rows,
     const index::StripedWindows& windows, int threshold,
     std::vector<WindowScore>& candidates);

@@ -140,7 +140,9 @@ void extract_windows(const bio::SequenceBank& bank,
 class StripedWindows {
  public:
   /// Windows per vector group; matches the 32 x 8-bit lanes of a 256-bit
-  /// register and the portable tier's lane arrays.
+  /// register and the portable tier's lane arrays (the AVX-512 tier
+  /// screens two groups per 512-bit register, and a last odd group on
+  /// 256 bits).
   static constexpr std::size_t kLaneWidth = 32;
 
   /// Rebuilds the striped image of `windows`, gathered from their arena

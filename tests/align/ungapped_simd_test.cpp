@@ -2,9 +2,9 @@
 // residue-indexed substitution rows, the striped window transpose, and
 // the 8-bit screen + scalar rescore, which must report exactly the
 // scalar kernel's hits and scores across random (and asymmetric)
-// matrices, thresholds, window lengths around the 32-lane groups,
-// out-of-alphabet codes, X-padding, boundary flanks, all-negative
-// windows and lanes forced to saturate.
+// matrices, thresholds, window lengths and batch sizes around the lane
+// groups of every tier, out-of-alphabet codes, X-padding, boundary
+// flanks, all-negative windows and lanes forced to saturate.
 #include "align/ungapped_simd.hpp"
 
 #include <gtest/gtest.h>
@@ -92,6 +92,11 @@ int expect_screen_matches_scalar(std::span<const std::uint8_t> window0,
     ungapped_screen_rows_vs_striped_avx2(window0, rows, striped, threshold,
                                          candidates);
     EXPECT_EQ(candidates, expected_screen) << label << " (avx2 screen)";
+  }
+  if (ungapped_avx512_available()) {
+    ungapped_screen_rows_vs_striped_avx512(window0, rows, striped, threshold,
+                                           candidates);
+    EXPECT_EQ(candidates, expected_screen) << label << " (avx512 screen)";
   }
   ungapped_screen_rows_vs_striped(window0, rows, striped, threshold,
                                   candidates);
@@ -306,6 +311,14 @@ TEST(UngappedSimd, RejectsLengthMismatchAndUnboundedThreshold) {
                      window8, rows, striped, rows.ceiling() + 1, out),
                  std::invalid_argument);
   }
+  if (ungapped_avx512_available()) {
+    EXPECT_THROW(ungapped_screen_rows_vs_striped_avx512(window0, rows, striped,
+                                                        38, out),
+                 std::invalid_argument);
+    EXPECT_THROW(ungapped_screen_rows_vs_striped_avx512(
+                     window8, rows, striped, rows.ceiling() + 1, out),
+                 std::invalid_argument);
+  }
 }
 
 TEST(UngappedSimd, RandomWindowsWithBoundaryFlanksAgree) {
@@ -336,6 +349,68 @@ TEST(UngappedSimd, RandomWindowsWithBoundaryFlanksAgree) {
       expect_screen_matches_scalar(one.window(0), batch, m, threshold,
                                    "boundary flanks t=" +
                                        std::to_string(threshold));
+    }
+  }
+}
+
+TEST(UngappedSimd, EveryLaneGroupMixAgreesAtItsBoundaries) {
+  // Padded strides 32..192 cover every mix of the AVX-512 tier's loop:
+  // 128-lane passes, a 64-lane zmm remainder and a 32-lane ymm tail (and
+  // the AVX2 tier's 64-lane passes and 32-lane tail). In each, the last
+  // real lane sits on a group boundary: the last lane of the stride
+  // (count == stride) or the first lane of the final 32-lane group, with
+  // 31 padding lanes after it. Copies of the IL0 window in both boundary
+  // lanes, and in every seventh lane, saturate, so lanes forced to the
+  // ceiling sit exactly where the emit masks are cut.
+  util::Xoshiro256 rng(29);
+  const auto& m = bio::SubstitutionMatrix::blosum62();
+  const std::size_t length = 64;
+  std::vector<std::uint8_t> window0(length);
+  for (auto& r : window0) {
+    r = static_cast<std::uint8_t>(rng.bounded(bio::kProteinAlphabetSize));
+  }
+  for (const std::size_t stride : {32, 64, 96, 128, 160, 192}) {
+    for (const std::size_t count : {stride, stride - 31}) {
+      bio::SequenceBank bank(bio::SequenceKind::kProtein);
+      for (std::size_t i = 0; i < count; ++i) {
+        const bool copy = i % 7 == 0 || i + 1 == count || i % 32 == 31;
+        std::vector<std::uint8_t> residues = window0;
+        if (!copy) {
+          for (auto& r : residues) {
+            r = static_cast<std::uint8_t>(
+                rng.bounded(bio::kProteinAlphabetSize));
+          }
+        }
+        bank.add(bio::Sequence("s", bio::SequenceKind::kProtein, residues));
+      }
+      index::WindowBatch batch(length);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        batch.append(bank, index::Occurrence{i, 0},
+                     index::WindowShape{length, 0});
+      }
+      index::StripedWindows striped;
+      striped.assign(batch);
+      ASSERT_EQ(striped.padded_size(), stride);
+      const std::string label =
+          "stride=" + std::to_string(stride) + " n=" + std::to_string(count);
+      // Threshold 0 passes every real lane, so a padding lane that leaks
+      // past a group's mask cut shows too.
+      for (const int threshold : {0, 38}) {
+        EXPECT_GT(
+            expect_screen_matches_scalar(window0, batch, m, threshold, label),
+            0)
+            << label << " t=" << threshold;
+      }
+
+      // The last real lane saturated and was reported at the ceiling.
+      const SubstitutionRows rows(m);
+      std::vector<WindowScore> candidates;
+      ungapped_screen_rows_vs_striped(window0, rows, striped, 38, candidates);
+      ASSERT_FALSE(candidates.empty()) << label;
+      EXPECT_EQ(candidates.back(),
+                (WindowScore{static_cast<std::uint32_t>(count - 1),
+                             rows.ceiling()}))
+          << label;
     }
   }
 }
@@ -579,10 +654,14 @@ TEST(UngappedSimd, KernelResolutionAndNames) {
 TEST(CpuFeatures, TierIsConsistentWithFeatures) {
   const SimdTier tier = best_simd_tier();
   EXPECT_STRNE(simd_tier_name(tier), "unknown");
-  if (ungapped_avx2_available()) {
+  if (ungapped_avx512_available()) {
+    EXPECT_EQ(tier, SimdTier::kAvx512);
+    EXPECT_STREQ(simd_tier_name(tier), "avx512");
+  } else if (ungapped_avx2_available()) {
     EXPECT_EQ(tier, SimdTier::kAvx2);
   } else {
     EXPECT_NE(tier, SimdTier::kAvx2);
+    EXPECT_NE(tier, SimdTier::kAvx512);
   }
 }
 
