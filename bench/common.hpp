@@ -1,6 +1,13 @@
 // Shared infrastructure for the table-reproduction benches.
 //
-// Every bench binary reproduces one table of the paper's evaluation
+// bench/ answers the paper's questions: the table reproductions, the
+// ablations, the extensions, the step-2 and step-3 kernel shoot-outs,
+// and two scheduler studies (tenant_fairness, board_residency).
+// Serving and storage questions -- queries/sec, latency, store load,
+// append and refresh, router fan-out -- belong to perfbench/, whose
+// serve_single and serve_cluster workloads also check every reply.
+//
+// Every table bench reproduces one table of the paper's evaluation
 // (section 4) on a scaled synthetic replica of its workload and prints
 // the measured table next to the paper's published numbers. Scaling is
 // controlled by PSC_SCALE (small | medium | large | <fraction>, default

@@ -21,8 +21,7 @@
 //     the wait is bounded by the deficit round, independent of how
 //     deep the heavy tenant's backlog is.
 //
-// Writes BENCH_tenant_fairness.json for machine consumption, mirroring
-// BENCH_service.json.
+// Writes BENCH_tenant_fairness.json for machine consumption.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

@@ -9,15 +9,6 @@ namespace psc::core {
 
 namespace {
 
-std::string backend_flag_name(Step2Backend backend) {
-  switch (backend) {
-    case Step2Backend::kHostSequential: return "host-sequential";
-    case Step2Backend::kHostParallel: return "host-parallel";
-    case Step2Backend::kRasc: return "rasc";
-  }
-  return "host-sequential";
-}
-
 std::string format_double(double value) {
   std::ostringstream out;
   out << value;
@@ -28,7 +19,7 @@ std::string format_double(double value) {
 
 void add_pipeline_options(util::ArgParser& args,
                           const PipelineOptions& defaults) {
-  args.add_option("backend", backend_flag_name(defaults.backend),
+  args.add_option("backend", backend_name(defaults.backend),
                   "rasc | host | host-sequential | host-parallel");
   args.add_option("step2-kernel", step2_kernel_name(defaults.step2_kernel),
                   "host ungapped kernel: auto | scalar | blocked | simd");

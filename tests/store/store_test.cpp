@@ -175,22 +175,27 @@ TEST(IndexStore, RoundTripIsZeroCopyAndBitIdentical) {
   const std::string path = temp_path("index_roundtrip.pscidx");
   save_index(path, fresh, model);
 
-  const LoadedIndex loaded =
-      load_index(path, model, &workload.genome_bank);
-  EXPECT_TRUE(loaded.table.is_view());
-  EXPECT_EQ(loaded.model_name, model.name());
-  ASSERT_EQ(loaded.table.key_space(), fresh.key_space());
-  ASSERT_EQ(loaded.table.total_occurrences(), fresh.total_occurrences());
-  // Bit-identical arrays, not just equivalent contents.
-  const auto fresh_starts = fresh.starts();
-  const auto loaded_starts = loaded.table.starts();
-  for (std::size_t k = 0; k < fresh_starts.size(); ++k) {
-    ASSERT_EQ(loaded_starts[k], fresh_starts[k]);
-  }
-  const auto fresh_occ = fresh.all_occurrences();
-  const auto loaded_occ = loaded.table.all_occurrences();
-  for (std::size_t i = 0; i < fresh_occ.size(); ++i) {
-    ASSERT_EQ(loaded_occ[i], fresh_occ[i]);
+  // The unchecked load skips only the checksum pass; it must map the
+  // same arrays.
+  for (const bool verify_checksum : {true, false}) {
+    SCOPED_TRACE(verify_checksum ? "checksum verified" : "checksum skipped");
+    const LoadedIndex loaded =
+        load_index(path, model, &workload.genome_bank, verify_checksum);
+    EXPECT_TRUE(loaded.table.is_view());
+    EXPECT_EQ(loaded.model_name, model.name());
+    ASSERT_EQ(loaded.table.key_space(), fresh.key_space());
+    ASSERT_EQ(loaded.table.total_occurrences(), fresh.total_occurrences());
+    // Bit-identical arrays, not just equivalent contents.
+    const auto fresh_starts = fresh.starts();
+    const auto loaded_starts = loaded.table.starts();
+    for (std::size_t k = 0; k < fresh_starts.size(); ++k) {
+      ASSERT_EQ(loaded_starts[k], fresh_starts[k]);
+    }
+    const auto fresh_occ = fresh.all_occurrences();
+    const auto loaded_occ = loaded.table.all_occurrences();
+    for (std::size_t i = 0; i < fresh_occ.size(); ++i) {
+      ASSERT_EQ(loaded_occ[i], fresh_occ[i]);
+    }
   }
   std::remove(path.c_str());
 }
