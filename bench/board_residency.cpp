@@ -67,7 +67,6 @@ service::ServiceConfig make_config(service::SchedulerPolicy policy) {
   // of one drain swallowing the whole queue.
   config.max_drain_per_round = kBanks;
   config.starvation_rounds = 8;
-  config.verify_checksums = false;
   return config;
 }
 

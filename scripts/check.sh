@@ -74,14 +74,18 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/align_test \
   --gtest_filter='UngappedSimd.*:SubstitutionRows.*:StripedWindows.*'
 
-echo "== sanitizers: untrusted stats and wire payloads, focused run under ASan =="
+echo "== sanitizers: untrusted stats, wire and store payloads, focused run under ASan =="
 # Every truncation and byte flip of a stats payload must decode or throw
-# CodecError, and every malformed frame must be refused; keep both
-# memory-checked even if the suite regexes above are reshuffled.
+# CodecError, every malformed frame must be refused, and every
+# truncation and byte flip of a bank, index or manifest file must load
+# or throw StoreError; keep all three memory-checked even if the suite
+# regexes above are reshuffled.
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/service_test --gtest_filter='ServiceCodec.*'
 ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/net_test --gtest_filter='Wire.*'
+ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=halt_on_error=1 \
+  ./build-asan/tests/store_test --gtest_filter='StoreFile.*'
 
 echo "== sanitizers: step-3 kernel equality focused run under ASan =="
 # Redundant with the suite runs above on purpose: the bit-identity

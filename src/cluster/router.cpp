@@ -85,8 +85,7 @@ struct Router::Race {
 Router::Router(RouterConfig config)
     : config_(std::move(config)),
       manifest_(store::load_manifest(
-          store::manifest_path(config_.manifest_prefix),
-          config_.verify_checksums)),
+          store::manifest_path(config_.manifest_prefix))),
       table_(config_.replicas),
       health_checker_(table_, config_.health),
       registry_(config_.tenants) {
@@ -263,8 +262,8 @@ std::uint64_t Router::refresh_manifest(const std::string& bank_prefix) {
   // Load and validate outside the manifest lock (disk I/O); only the
   // final swap and the extension check against the served generation
   // need it.
-  store::ShardManifest incoming = store::load_manifest(
-      store::manifest_path(config_.manifest_prefix), config_.verify_checksums);
+  store::ShardManifest incoming =
+      store::load_manifest(store::manifest_path(config_.manifest_prefix));
 
   std::unique_lock<std::mutex> lock(manifest_mutex_);
   if (incoming.revision == manifest_.revision) {

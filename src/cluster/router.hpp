@@ -73,8 +73,6 @@ struct RouterConfig {
   double request_timeout_seconds = 30.0;
   /// Health probe cadence and per-probe timeout.
   HealthConfig health;
-  /// Verify the manifest checksum on load.
-  bool verify_checksums = true;
   /// Per-tenant policy (weights, qps, in-flight, hedge budgets). The
   /// router bills each submitted fan-out to its request's tenant; the
   /// replica connections it opens carry no hello, so the work is billed

@@ -21,9 +21,11 @@ void add_pipeline_options(util::ArgParser& args,
                           const PipelineOptions& defaults) {
   args.add_option("backend", backend_name(defaults.backend),
                   "rasc | host | host-sequential | host-parallel");
-  args.add_option("step2-kernel", step2_kernel_name(defaults.step2_kernel),
+  args.add_option("step2-kernel",
+                  align::ungapped_kernel_name(defaults.step2_kernel),
                   "host ungapped kernel: auto | scalar | blocked | simd");
-  args.add_option("step3-kernel", step3_kernel_name(defaults.step3_kernel),
+  args.add_option("step3-kernel",
+                  align::gapped_kernel_name(defaults.step3_kernel),
                   "gapped-extension kernel: auto | scalar | portable | avx2");
   add_threads_option(args,
                      "worker threads for BOTH step 2 and step 3 on the host "
@@ -50,20 +52,22 @@ bool parse_pipeline_options(const util::ArgParser& args,
     std::fprintf(stderr, "unknown backend '%s'\n", backend.c_str());
     return false;
   }
-  try {
-    options.step2_kernel = parse_step2_kernel(args.get("step2-kernel"));
-  } catch (const std::invalid_argument&) {
+  const auto step2_kernel =
+      align::parse_ungapped_kernel(args.get("step2-kernel"));
+  if (!step2_kernel) {
     std::fprintf(stderr, "unknown step2 kernel '%s'\n",
                  args.get("step2-kernel").c_str());
     return false;
   }
-  try {
-    options.step3_kernel = parse_step3_kernel(args.get("step3-kernel"));
-  } catch (const std::invalid_argument&) {
+  options.step2_kernel = *step2_kernel;
+  const auto step3_kernel =
+      align::parse_gapped_kernel(args.get("step3-kernel"));
+  if (!step3_kernel) {
     std::fprintf(stderr, "unknown step3 kernel '%s'\n",
                  args.get("step3-kernel").c_str());
     return false;
   }
+  options.step3_kernel = *step3_kernel;
   std::size_t threads = 0;
   if (!parse_threads_option(args, threads)) return false;
   options.set_threads(threads);

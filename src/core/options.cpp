@@ -78,26 +78,4 @@ std::string backend_name(Step2Backend backend) {
   return "unknown";
 }
 
-std::string step2_kernel_name(align::UngappedKernel kernel) {
-  return align::ungapped_kernel_name(kernel);
-}
-
-align::UngappedKernel parse_step2_kernel(const std::string& name) {
-  if (const auto kernel = align::parse_ungapped_kernel(name)) return *kernel;
-  throw std::invalid_argument(
-      "parse_step2_kernel: expected auto|scalar|blocked|simd, got '" + name +
-      "'");
-}
-
-std::string step3_kernel_name(align::GappedKernel kernel) {
-  return align::gapped_kernel_name(kernel);
-}
-
-align::GappedKernel parse_step3_kernel(const std::string& name) {
-  if (const auto kernel = align::parse_gapped_kernel(name)) return *kernel;
-  throw std::invalid_argument(
-      "parse_step3_kernel: expected auto|scalar|portable|avx2, got '" + name +
-      "'");
-}
-
 }  // namespace psc::core

@@ -122,19 +122,4 @@ SeedModelKind parse_seed_model_kind(const std::string& name);
 /// Human-readable backend name (for tables and logs).
 std::string backend_name(Step2Backend backend);
 
-/// Human-readable kernel name ("auto", "scalar", "blocked", "simd").
-std::string step2_kernel_name(align::UngappedKernel kernel);
-
-/// Parses a --step2-kernel value; throws std::invalid_argument on an
-/// unknown name.
-align::UngappedKernel parse_step2_kernel(const std::string& name);
-
-/// Human-readable step-3 kernel name ("auto", "scalar", "portable",
-/// "avx2").
-std::string step3_kernel_name(align::GappedKernel kernel);
-
-/// Parses a --step3-kernel value; throws std::invalid_argument on an
-/// unknown name.
-align::GappedKernel parse_step3_kernel(const std::string& name);
-
 }  // namespace psc::core

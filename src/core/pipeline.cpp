@@ -29,7 +29,7 @@ std::vector<align::SeedPairHit> run_step2_backend(
           options.ungapped_threshold, options.step2_kernel);
       result.counters.step2_pairs = step2.pairs;
       result.counters.step2_cells = step2.cells;
-      result.step2_engine = step2_kernel_name(step2.kernel);
+      result.step2_engine = align::ungapped_kernel_name(step2.kernel);
       hits = std::move(step2.hits);
       result.step2_wall_seconds = step2_timer.seconds();
       result.times.step2_ungapped = result.step2_wall_seconds;
@@ -42,7 +42,7 @@ std::vector<align::SeedPairHit> run_step2_backend(
           options.step2_kernel, options.executor);
       result.counters.step2_pairs = step2.pairs;
       result.counters.step2_cells = step2.cells;
-      result.step2_engine = step2_kernel_name(step2.kernel);
+      result.step2_engine = align::ungapped_kernel_name(step2.kernel);
       hits = std::move(step2.hits);
       result.step2_wall_seconds = step2_timer.seconds();
       result.times.step2_ungapped = result.step2_wall_seconds;
@@ -87,7 +87,7 @@ void run_steps23(const bio::SequenceBank& bank0,
   Step3Result step3 =
       run_step3(bank0, bank1, std::move(hits), matrix, options);
   result.times.step3_gapped = step3_timer.seconds();
-  result.step3_engine = step3_kernel_name(step3.kernel);
+  result.step3_engine = align::gapped_kernel_name(step3.kernel);
   result.counters.step3_extensions = step3.extensions;
   result.counters.step3_eager_extensions = step3.extensions;
   result.matches = std::move(step3.matches);

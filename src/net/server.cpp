@@ -57,6 +57,25 @@ bool prefix_is_safe(const std::string& prefix) {
   return true;
 }
 
+/// The gate every prefix-naming request (Search, RefreshManifest)
+/// passes: an empty result admits `prefix`, otherwise it is the error
+/// frame to reply with -- kBadRequest when the prefix could escape the
+/// bank root, kBankNotFound when `allowed` is non-empty and lacks it.
+std::vector<std::uint8_t> prefix_gate(const std::string& prefix,
+                                      const std::vector<std::string>& allowed) {
+  if (!prefix_is_safe(prefix)) {
+    return encode_error_frame(
+        WireErrorCode::kBadRequest,
+        "bank prefix must be a relative path without '..' components");
+  }
+  if (!allowed.empty() &&
+      std::find(allowed.begin(), allowed.end(), prefix) == allowed.end()) {
+    return encode_error_frame(WireErrorCode::kBankNotFound,
+                              "bank prefix not served here: " + prefix);
+  }
+  return {};
+}
+
 /// A per-tenant quota rejection maps to its own typed frame so clients
 /// can distinguish "back off" (kQuotaExceeded, per-tenant) from
 /// "refused by an admission gate" (kAdmissionRejected, cluster-level).
@@ -249,21 +268,9 @@ void Server::handle_frame(Connection& connection, const Frame& frame) {
             encode_error_frame(WireErrorCode::kBadRequest, e.what());
         break;
       }
-      if (!prefix_is_safe(request.bank_prefix)) {
-        pending.frame = encode_error_frame(
-            WireErrorCode::kBadRequest,
-            "bank prefix must be a relative path without '..' components");
-        break;
-      }
-      if (!config_.allowed_prefixes.empty() &&
-          std::find(config_.allowed_prefixes.begin(),
-                    config_.allowed_prefixes.end(),
-                    request.bank_prefix) == config_.allowed_prefixes.end()) {
-        pending.frame = encode_error_frame(
-            WireErrorCode::kBankNotFound,
-            "bank prefix not served here: " + request.bank_prefix);
-        break;
-      }
+      pending.frame =
+          prefix_gate(request.bank_prefix, config_.allowed_prefixes);
+      if (!pending.frame.empty()) break;
       if (!std::isfinite(request.options.search_space_residues) ||
           request.options.search_space_residues < 0.0) {
         pending.frame = encode_error_frame(
@@ -318,21 +325,9 @@ void Server::handle_frame(Connection& connection, const Frame& frame) {
             encode_error_frame(WireErrorCode::kBadRequest, e.what());
         break;
       }
-      if (!prefix_is_safe(request.bank_prefix)) {
-        pending.frame = encode_error_frame(
-            WireErrorCode::kBadRequest,
-            "bank prefix must be a relative path without '..' components");
-        break;
-      }
-      if (!config_.allowed_prefixes.empty() &&
-          std::find(config_.allowed_prefixes.begin(),
-                    config_.allowed_prefixes.end(),
-                    request.bank_prefix) == config_.allowed_prefixes.end()) {
-        pending.frame = encode_error_frame(
-            WireErrorCode::kBankNotFound,
-            "bank prefix not served here: " + request.bank_prefix);
-        break;
-      }
+      pending.frame =
+          prefix_gate(request.bank_prefix, config_.allowed_prefixes);
+      if (!pending.frame.empty()) break;
       try {
         RefreshAckFrame ack;
         ack.revision = backend_->refresh_manifest(config_.bank_root + "/" +

@@ -330,7 +330,7 @@ std::uint64_t SearchService::current_revision(const std::string& prefix) {
   // a racing first touch just reads the same revision twice.
   std::uint64_t revision = 0;
   if (store::manifest_exists(prefix)) {
-    revision = store::read_manifest_revision(store::manifest_path(prefix));
+    revision = store::load_manifest(store::manifest_path(prefix)).revision;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   return revisions_.emplace(prefix, revision).first->second;
@@ -342,7 +342,8 @@ std::uint64_t SearchService::refresh_manifest(const std::string& bank_prefix) {
     // Full manifest validation, not just the revision word: a refresh
     // that would hand the worker a corrupt manifest fails here, typed,
     // leaving the pinned revision as it was.
-    revision = store::read_manifest_revision(store::manifest_path(bank_prefix));
+    revision =
+        store::load_manifest(store::manifest_path(bank_prefix)).revision;
   } else {
     // A plain pair has no revision lineage, but the refresh still
     // verifies the store exists so a mistyped prefix is an error now,
@@ -393,7 +394,7 @@ std::shared_ptr<SearchService::ResidentSet> SearchService::acquire(
   // entry is never a candidate for its own eviction pass, and a load
   // failure leaves the cache exactly as it was.
   auto resident = std::make_shared<ResidentSet>();
-  resident->set = load_bank_set(prefix, model_, config_.verify_checksums,
+  resident->set = load_bank_set(prefix, model_, /*verify_checksums=*/true,
                                 previous ? &previous->set : nullptr);
   resident->last_use = ++use_tick_;
 

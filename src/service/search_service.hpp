@@ -64,8 +64,6 @@ struct ServiceConfig {
   /// (every batch reloads from the store -- the bench's "cold load"
   /// mode).
   std::size_t max_resident = 4;
-  /// Verify store payload checksums on load. Leave on outside benches.
-  bool verify_checksums = true;
   /// How the worker orders pending groups (service/scheduler.hpp):
   /// kAffinity serves the bank already on the accelerator board first,
   /// minimizing modeled bank uploads for mixed-bank streams; kFifo is

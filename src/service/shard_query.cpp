@@ -1,36 +1,51 @@
 #include "service/shard_query.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "store/bank_store.hpp"
-#include "store/format.hpp"
 
 namespace psc::service {
 
 namespace {
 
-/// Loads one (bank, index) pair, pinning the pairing through the bank's
-/// recorded payload checksum: the loaded index must either record that
-/// checksum or record none (v1 files).
-std::shared_ptr<const LoadedShard> load_pair(const std::string& pair_prefix,
-                                             const index::SeedModel& model,
-                                             bool verify_checksums,
-                                             std::uint64_t sequence_base) {
-  const store::BankFileInfo info =
-      store::inspect_bank(pair_prefix + ".pscbank");
-  bio::SequenceBank bank =
-      store::load_bank(pair_prefix + ".pscbank", verify_checksums);
-  store::LoadedIndex index =
-      store::load_index(pair_prefix + ".pscidx", model, &bank,
-                        verify_checksums, info.payload_checksum);
+/// Loads one (bank, index) pair, mapping each file once and pinning
+/// the pairing through the bank's recorded payload checksum: the loaded
+/// index must either record that checksum or record none (v1 files).
+/// A manifest shard passes `pinned`, the bank checksum its slot records:
+/// the bank's header is compared with it before its payload is verified
+/// and decoded from the same mapping.
+std::shared_ptr<const LoadedShard> load_pair(
+    const std::string& pair_prefix, const index::SeedModel& model,
+    bool verify_checksums, std::uint64_t sequence_base,
+    std::optional<std::uint64_t> pinned) {
+  const std::string bank_path = pair_prefix + ".pscbank";
+  store::MmapFile bank_file = store::MmapFile::open(bank_path);
+  const store::FileHeader bank_header =
+      store::read_header(bank_file.bytes(), store::FileKind::kBank, bank_path);
+  // The shard file must be the very bank the manifest was built over,
+  // not merely *a* self-consistent bank/index pair: a shard swapped for
+  // another bank's files would silently change the result set.
+  if (pinned && bank_header.payload_checksum != *pinned) {
+    throw store::StoreError(
+        store::StoreErrorCode::kBankMismatch,
+        "shard bank is not the one the manifest records: " + bank_path);
+  }
+  bio::SequenceBank bank = store::decode_bank(
+      store::read_payload(std::move(bank_file), bank_header,
+                          store::FileKind::kBank, bank_path, verify_checksums));
+  store::StoreImage index_image = store::read_store_file(
+      pair_prefix + ".pscidx", store::FileKind::kIndex, verify_checksums);
   const bool compressed =
-      info.compression != store::kCompressionNone ||
-      store::inspect_index(pair_prefix + ".pscidx").compression !=
-          store::kCompressionNone;
+      bank_header.reserved != store::kCompressionNone ||
+      index_image.header.reserved != store::kCompressionNone;
+  store::LoadedIndex index =
+      store::decode_index(std::move(index_image), model, &bank,
+                          bank_header.payload_checksum);
   return std::make_shared<const LoadedShard>(
       LoadedShard{std::move(bank), std::move(index), sequence_base,
-                  info.payload_checksum, compressed});
+                  bank_header.payload_checksum, compressed});
 }
 
 }  // namespace
@@ -41,7 +56,8 @@ LoadedBankSet load_bank_set(const std::string& prefix,
                             const LoadedBankSet* previous) {
   LoadedBankSet set;
   if (!store::manifest_exists(prefix)) {
-    set.shards.push_back(load_pair(prefix, model, verify_checksums, 0));
+    set.shards.push_back(
+        load_pair(prefix, model, verify_checksums, 0, std::nullopt));
     set.total_sequences = set.shards.front()->bank.size();
     set.total_residues = set.shards.front()->bank.total_residues();
     return set;
@@ -72,19 +88,9 @@ LoadedBankSet load_bank_set(const std::string& prefix,
       }
     }
     const std::string pair_prefix = store::shard_prefix(prefix, i);
-    // The shard file must be the very bank the manifest was built over,
-    // not merely *a* self-consistent bank/index pair: a shard swapped
-    // for another bank's files would silently change the result set.
-    const store::BankFileInfo info =
-        store::inspect_bank(pair_prefix + ".pscbank");
-    if (info.payload_checksum != slot.bank_checksum) {
-      throw store::StoreError(
-          store::StoreErrorCode::kBankMismatch,
-          "shard bank is not the one the manifest records: " + pair_prefix +
-              ".pscbank");
-    }
     std::shared_ptr<const LoadedShard> shard =
-        load_pair(pair_prefix, model, verify_checksums, slot.sequence_base);
+        load_pair(pair_prefix, model, verify_checksums, slot.sequence_base,
+                  slot.bank_checksum);
     if (shard->bank.kind() != manifest.kind ||
         shard->bank.size() != slot.sequence_count ||
         shard->bank.total_residues() != slot.residues) {

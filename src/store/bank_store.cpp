@@ -1,23 +1,15 @@
 #include "store/bank_store.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <span>
 #include <string_view>
 
 #include "bio/alphabet.hpp"
-#include "store/compress.hpp"
-#include "store/format.hpp"
-#include "store/mmap_file.hpp"
 
 namespace psc::store {
 
 namespace {
-
-std::uint64_t kind_code(bio::SequenceKind kind) {
-  return kind == bio::SequenceKind::kProtein ? 0 : 1;
-}
 
 /// Highest valid encoded residue value + 1 for a bank kind.
 std::uint8_t alphabet_limit(bio::SequenceKind kind) {
@@ -26,129 +18,52 @@ std::uint8_t alphabet_limit(bio::SequenceKind kind) {
              : static_cast<std::uint8_t>(bio::kNucleotideN + 1);
 }
 
-class ChecksummingWriter {
- public:
-  explicit ChecksummingWriter(std::ofstream& out) : out_(out) {}
-
-  void write(const void* data, std::size_t size) {
-    checksum_.update(data, size);
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(size));
-    written_ += size;
-  }
-
-  std::uint64_t bytes_written() const { return written_; }
-  std::uint64_t digest() const { return checksum_.digest(); }
-
- private:
-  std::ofstream& out_;
-  Fnv1a64 checksum_;
-  std::uint64_t written_ = 0;
-};
-
-FileHeader read_bank_header(const MmapFile& file, const std::string& path) {
-  if (file.size() < sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "bank file truncated before header: " + path);
-  }
-  FileHeader header;
-  std::memcpy(&header, file.data(), sizeof(header));
-  if (header.magic != kBankMagic) {
-    throw StoreError(StoreErrorCode::kBadMagic,
-                     "not a .pscbank file: " + path);
-  }
-  if (header.version < kMinFormatVersion || header.version > kFormatVersion) {
-    throw StoreError(StoreErrorCode::kBadVersion,
-                     "unsupported bank format version " +
-                         std::to_string(header.version) + ": " + path);
-  }
-  if (header.reserved != kCompressionNone &&
-      (header.version < 3 || header.reserved > kCompressionLzss)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "bank compression tag out of range: " + path);
-  }
-  return header;
-}
-
-/// Serialises the bank's record stream through `write(data, size)`.
-template <typename Writer>
-void write_bank_payload(const bio::SequenceBank& bank, Writer&& write) {
-  for (const bio::SequenceView seq : bank) {
-    if (seq.id().size() > std::numeric_limits<std::uint32_t>::max() ||
-        seq.size() > std::numeric_limits<std::uint32_t>::max()) {
-      throw StoreError(StoreErrorCode::kIo,
-                       "save_bank: sequence too large for format");
-    }
-    const std::uint32_t id_bytes = static_cast<std::uint32_t>(seq.id().size());
-    const std::uint32_t residue_bytes = static_cast<std::uint32_t>(seq.size());
-    write(&id_bytes, sizeof(id_bytes));
-    write(&residue_bytes, sizeof(residue_bytes));
-    write(seq.id().data(), id_bytes);
-    write(seq.data(), residue_bytes);
-  }
-}
-
 }  // namespace
+
+std::uint64_t kind_code(bio::SequenceKind kind) {
+  return kind == bio::SequenceKind::kProtein ? 0 : 1;
+}
+
+bio::SequenceKind recorded_kind(const FileHeader& header,
+                                const std::string& what,
+                                const std::string& path) {
+  if (header.meta[0] > 1) {
+    throw StoreError(StoreErrorCode::kCorrupt,
+                     what + " kind field out of range: " + path);
+  }
+  return header.meta[0] == 0 ? bio::SequenceKind::kProtein
+                             : bio::SequenceKind::kDna;
+}
 
 std::uint64_t save_bank(const std::string& path, const bio::SequenceBank& bank,
                         bool compress) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw StoreError(StoreErrorCode::kIo, "cannot create bank file: " + path);
-  }
-
-  FileHeader header;
-  header.magic = kBankMagic;
-  header.meta[0] = kind_code(bank.kind());
-  header.meta[1] = bank.size();
-  header.meta[2] = bank.total_residues();
-
-  if (compress) {
-    // Compressed archives buffer the payload: length and checksum
-    // describe the raw bytes, only the token stream hits the disk.
-    std::vector<std::uint8_t> raw;
-    write_bank_payload(bank, [&](const void* data, std::size_t size) {
-      const auto* p = static_cast<const std::uint8_t*>(data);
-      raw.insert(raw.end(), p, p + size);
-    });
-    header.reserved = kCompressionLzss;
-    header.payload_bytes = raw.size();
-    header.payload_checksum = fnv1a64(raw.data(), raw.size());
-    const std::vector<std::uint8_t> packed = lzss_compress(raw);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(packed.data()),
-              static_cast<std::streamsize>(packed.size()));
-  } else {
-    // Placeholder header; rewritten with payload length + checksum below.
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    ChecksummingWriter writer(out);
-    write_bank_payload(bank, [&](const void* data, std::size_t size) {
-      writer.write(data, size);
-    });
-    header.payload_bytes = writer.bytes_written();
-    header.payload_checksum = writer.digest();
-    out.seekp(0);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  }
-  out.flush();
-  if (!out) {
-    throw StoreError(StoreErrorCode::kIo, "cannot write bank file: " + path);
-  }
-  return header.payload_checksum;
+  return write_store_file(
+      path, FileKind::kBank,
+      {kind_code(bank.kind()), bank.size(), bank.total_residues(), 0},
+      compress, [&](PayloadSink& sink) {
+        for (const bio::SequenceView seq : bank) {
+          if (seq.id().size() > std::numeric_limits<std::uint32_t>::max() ||
+              seq.size() > std::numeric_limits<std::uint32_t>::max()) {
+            throw StoreError(StoreErrorCode::kIo,
+                             "save_bank: sequence too large for format");
+          }
+          const auto id_bytes = static_cast<std::uint32_t>(seq.id().size());
+          const auto residue_bytes = static_cast<std::uint32_t>(seq.size());
+          sink.write(&id_bytes, sizeof(id_bytes));
+          sink.write(&residue_bytes, sizeof(residue_bytes));
+          sink.write(seq.id().data(), id_bytes);
+          sink.write(seq.data(), residue_bytes);
+        }
+      });
 }
 
 BankFileInfo inspect_bank(const std::string& path) {
   const MmapFile file = MmapFile::open(path);
-  const FileHeader header = read_bank_header(file, path);
-  if (header.meta[0] > 1) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "bank kind field out of range: " + path);
-  }
+  const FileHeader header = read_header(file.bytes(), FileKind::kBank, path);
   BankFileInfo info;
   info.version = header.version;
   info.compression = header.reserved;
-  info.kind = header.meta[0] == 0 ? bio::SequenceKind::kProtein
-                                  : bio::SequenceKind::kDna;
+  info.kind = recorded_kind(header, "bank", path);
   info.sequence_count = header.meta[1];
   info.total_residues = header.meta[2];
   info.payload_checksum = header.payload_checksum;
@@ -156,29 +71,14 @@ BankFileInfo inspect_bank(const std::string& path) {
 }
 
 bio::SequenceBank load_bank(const std::string& path, bool verify_checksum) {
-  MmapFile file = MmapFile::open(path);
-  FileHeader header = read_bank_header(file, path);
-  if (header.reserved != kCompressionNone) {
-    file = decompress_store_image(std::move(file), path);
-    std::memcpy(&header, file.data(), sizeof(header));
-  }
-  if (header.payload_bytes != file.size() - sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "bank payload length mismatch: " + path);
-  }
-  const std::uint8_t* payload = file.data() + sizeof(FileHeader);
-  if (verify_checksum &&
-      fnv1a64(payload, header.payload_bytes) != header.payload_checksum) {
-    throw StoreError(StoreErrorCode::kChecksum,
-                     "bank payload checksum mismatch: " + path);
-  }
-  if (header.meta[0] > 1) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "bank kind field out of range: " + path);
-  }
-  const bio::SequenceKind kind = header.meta[0] == 0
-                                     ? bio::SequenceKind::kProtein
-                                     : bio::SequenceKind::kDna;
+  return decode_bank(read_store_file(path, FileKind::kBank, verify_checksum));
+}
+
+bio::SequenceBank decode_bank(const StoreImage& image) {
+  const FileHeader& header = image.header;
+  const std::string& path = image.path;
+  const std::uint8_t* payload = image.payload().data();
+  const bio::SequenceKind kind = recorded_kind(header, "bank", path);
   const std::uint8_t limit = alphabet_limit(kind);
 
   // Every record carries two u32 lengths, its id and its residues, so a

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "bio/sequence.hpp"
+#include "store/format.hpp"
 
 namespace psc::store {
 
@@ -26,6 +27,14 @@ struct BankFileInfo {
   std::uint64_t total_residues = 0;
   std::uint64_t payload_checksum = 0;
 };
+
+/// The sequence kind bank and manifest headers record in meta[0]:
+/// 0 protein, 1 DNA. Any other code is kCorrupt, reported for `what`
+/// ("bank", "manifest") at `path`.
+std::uint64_t kind_code(bio::SequenceKind kind);
+bio::SequenceKind recorded_kind(const FileHeader& header,
+                                const std::string& what,
+                                const std::string& path);
 
 /// Writes `bank` to `path`, overwriting any existing file. Throws
 /// StoreError(kIo) on filesystem failure. Returns the payload checksum,
@@ -48,5 +57,10 @@ BankFileInfo inspect_bank(const std::string& path);
 /// digest differs from the recorded one.
 bio::SequenceBank load_bank(const std::string& path,
                             bool verify_checksum = true);
+
+/// The payload half of load_bank: decodes a checked kBank image (see
+/// read_store_file / read_payload), so a caller that already holds the
+/// mapping -- to compare its header first -- reads the file once.
+bio::SequenceBank decode_bank(const StoreImage& image);
 
 }  // namespace psc::store

@@ -209,17 +209,4 @@ void lzss_decompress(std::span<const std::uint8_t> stream,
   }
 }
 
-MmapFile decompress_store_image(MmapFile file, const std::string& path) {
-  FileHeader header;
-  std::memcpy(&header, file.data(), sizeof(header));
-  if (header.reserved == kCompressionNone) return file;
-  const std::span<const std::uint8_t> stream =
-      file.bytes().subspan(sizeof(FileHeader));
-  header.reserved = kCompressionNone;
-  std::vector<std::uint8_t> image(sizeof(FileHeader));
-  std::memcpy(image.data(), &header, sizeof(header));
-  lzss_decompress(stream, header.payload_bytes, path, image);
-  return MmapFile::from_owned(std::move(image));
-}
-
 }  // namespace psc::store

@@ -22,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "store/mmap_file.hpp"
-
 namespace psc::store {
 
 /// Hard ceiling on uncompressed/compressed size for a well-formed LZSS
@@ -47,22 +45,5 @@ std::vector<std::uint8_t> lzss_compress(std::span<const std::uint8_t> raw);
 void lzss_decompress(std::span<const std::uint8_t> stream,
                      std::uint64_t raw_size, const std::string& path,
                      std::vector<std::uint8_t>& out);
-
-/// The same, into a fresh buffer.
-inline std::vector<std::uint8_t> lzss_decompress(
-    std::span<const std::uint8_t> stream, std::uint64_t raw_size,
-    const std::string& path) {
-  std::vector<std::uint8_t> out;
-  lzss_decompress(stream, raw_size, path, out);
-  return out;
-}
-
-/// The decompress-on-load seam shared by every reader: returns `file`
-/// untouched when its header records compression tag 0 (the mmap fast
-/// path), otherwise rebuilds an owned image [header with the tag
-/// cleared | uncompressed payload] that downstream validation reads
-/// exactly like a file that was never compressed. `file` must hold at
-/// least a full FileHeader and have passed the magic/version checks.
-MmapFile decompress_store_image(MmapFile file, const std::string& path);
 
 }  // namespace psc::store

@@ -1,11 +1,7 @@
 #include "store/index_store.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <vector>
-
-#include "store/compress.hpp"
-#include "store/format.hpp"
+#include <span>
 
 namespace psc::store {
 
@@ -20,48 +16,24 @@ static_assert(sizeof(index::Occurrence) == 8 &&
 
 namespace {
 
-FileHeader read_header(const MmapFile& file, const std::string& path) {
-  if (file.size() < sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "index file truncated before header: " + path);
-  }
-  FileHeader header;
-  std::memcpy(&header, file.data(), sizeof(header));
-  if (header.magic != kIndexMagic) {
-    throw StoreError(StoreErrorCode::kBadMagic, "not a .pscidx file: " + path);
-  }
-  if (header.version < kMinFormatVersion || header.version > kFormatVersion) {
-    throw StoreError(StoreErrorCode::kBadVersion,
-                     "unsupported index format version " +
-                         std::to_string(header.version) + ": " + path);
-  }
-  if (header.reserved != kCompressionNone &&
-      (header.version < 3 || header.reserved > kCompressionLzss)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "index compression tag out of range: " + path);
-  }
-  return header;
-}
+/// The payload's leading sections: the recorded bank checksum (v2+;
+/// 0 when the version has none) and the rest of the payload behind it.
+struct IndexHead {
+  std::uint64_t bank_checksum = 0;
+  std::span<const std::uint8_t> body;
+};
 
-/// Bytes the bank-checksum section occupies for a given file version
-/// (v1 predates it).
-std::uint64_t bank_checksum_bytes(std::uint32_t version) {
-  return version >= 2 ? sizeof(std::uint64_t) : 0;
-}
-
-/// Reads the recorded bank checksum (0 when the version has no section
-/// or none was recorded), bounds-checking the section exists first.
-std::uint64_t read_bank_checksum(const FileHeader& header,
-                                 const std::uint8_t* payload,
-                                 const std::string& path) {
-  if (header.version < 2) return 0;
-  if (header.payload_bytes < sizeof(std::uint64_t)) {
+IndexHead read_index_head(const StoreImage& image) {
+  const std::size_t extra =
+      image.header.version >= 2 ? sizeof(std::uint64_t) : 0;  // v1: none
+  const std::span<const std::uint8_t> payload = image.payload();
+  if (payload.size() < extra) {
     throw StoreError(StoreErrorCode::kCorrupt,
-                     "index bank-checksum section truncated: " + path);
+                     "index bank-checksum section truncated: " + image.path);
   }
-  std::uint64_t checksum = 0;
-  std::memcpy(&checksum, payload, sizeof(checksum));
-  return checksum;
+  IndexHead head{0, payload.subspan(extra)};
+  std::memcpy(&head.bank_checksum, payload.data(), extra);
+  return head;
 }
 
 }  // namespace
@@ -69,140 +41,60 @@ std::uint64_t read_bank_checksum(const FileHeader& header,
 void save_index(const std::string& path, const index::IndexTable& table,
                 const index::SeedModel& model, std::uint64_t bank_checksum,
                 bool compress) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw StoreError(StoreErrorCode::kIo, "cannot create index file: " + path);
-  }
-
   const std::string& name = model.name();
-  const std::uint64_t padded_name = pad8(name.size());
   const std::span<const std::size_t> starts = table.starts();
   const std::span<const index::Occurrence> occurrences =
       table.all_occurrences();
-
-  FileHeader header;
-  header.magic = kIndexMagic;
-  header.meta[0] = model.fingerprint();
-  header.meta[1] = model.key_space();
-  header.meta[2] = occurrences.size();
-  header.meta[3] = name.size();
-
-  if (compress) {
-    std::vector<std::uint8_t> raw;
-    const auto buffer = [&](const void* data, std::size_t size) {
-      const auto* p = static_cast<const std::uint8_t*>(data);
-      raw.insert(raw.end(), p, p + size);
-    };
-    static constexpr char kZeros[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    buffer(&bank_checksum, sizeof(bank_checksum));
-    buffer(name.data(), name.size());
-    buffer(kZeros, padded_name - name.size());
-    buffer(starts.data(), starts.size_bytes());
-    buffer(occurrences.data(), occurrences.size_bytes());
-    header.reserved = kCompressionLzss;
-    header.payload_bytes = raw.size();
-    header.payload_checksum = fnv1a64(raw.data(), raw.size());
-    const std::vector<std::uint8_t> packed = lzss_compress(raw);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(packed.data()),
-              static_cast<std::streamsize>(packed.size()));
-    out.flush();
-    if (!out) {
-      throw StoreError(StoreErrorCode::kIo,
-                       "cannot write index file: " + path);
-    }
-    return;
-  }
-
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-
-  Fnv1a64 checksum;
-  auto write = [&](const void* data, std::size_t size) {
-    checksum.update(data, size);
-    out.write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(size));
-  };
-  static constexpr char kZeros[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  write(&bank_checksum, sizeof(bank_checksum));
-  write(name.data(), name.size());
-  write(kZeros, padded_name - name.size());
-  write(starts.data(), starts.size_bytes());
-  write(occurrences.data(), occurrences.size_bytes());
-
-  header.payload_bytes = sizeof(bank_checksum) + padded_name +
-                         starts.size_bytes() + occurrences.size_bytes();
-  header.payload_checksum = checksum.digest();
-  out.seekp(0);
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.flush();
-  if (!out) {
-    throw StoreError(StoreErrorCode::kIo, "cannot write index file: " + path);
-  }
+  write_store_file(
+      path, FileKind::kIndex,
+      {model.fingerprint(), model.key_space(), occurrences.size(),
+       name.size()},
+      compress, [&](PayloadSink& sink) {
+        static constexpr char kZeros[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+        sink.write(&bank_checksum, sizeof(bank_checksum));
+        sink.write(name.data(), name.size());
+        sink.write(kZeros, pad8(name.size()) - name.size());
+        sink.write(starts.data(), starts.size_bytes());
+        sink.write(occurrences.data(), occurrences.size_bytes());
+      });
 }
 
 IndexFileInfo inspect_index(const std::string& path) {
-  MmapFile file = MmapFile::open(path);
-  FileHeader header = read_header(file, path);
-  const std::uint32_t compression = header.reserved;
-  if (header.reserved != kCompressionNone) {
-    // The model name lives in the payload, so inspection of a
-    // compressed index pays the decompression (tools only).
-    file = decompress_store_image(std::move(file), path);
-    std::memcpy(&header, file.data(), sizeof(header));
-  }
-  IndexFileInfo info;
-  info.version = header.version;
-  info.compression = compression;
-  info.model_fingerprint = header.meta[0];
-  info.key_space = header.meta[1];
-  info.occurrence_count = header.meta[2];
-  // Subtract on the trusted side: read_header guarantees
-  // file.size() >= sizeof(FileHeader), and adding the file-controlled
-  // name_bytes instead could wrap past the check.
-  const std::uint64_t extra = bank_checksum_bytes(header.version);
-  if (extra > file.size() - sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "index bank-checksum section truncated: " + path);
-  }
-  std::uint64_t checksum = 0;
-  if (extra != 0) {
-    std::memcpy(&checksum, file.data() + sizeof(FileHeader), sizeof(checksum));
-  }
-  info.bank_checksum = checksum;
-  const std::uint64_t name_bytes = header.meta[3];
-  if (name_bytes > file.size() - sizeof(FileHeader) - extra) {
+  // The model name lives in the payload, so inspection maps it (and
+  // decodes a compressed one); the checksum is left to the loaders.
+  const StoreImage image =
+      read_store_file(path, FileKind::kIndex, /*verify_checksum=*/false);
+  const FileHeader& header = image.header;
+  const IndexHead head = read_index_head(image);
+  if (header.meta[3] > head.body.size()) {
     throw StoreError(StoreErrorCode::kCorrupt,
                      "index model name truncated: " + path);
   }
-  info.model_name.assign(
-      reinterpret_cast<const char*>(file.data() + sizeof(FileHeader) + extra),
-      name_bytes);
+  IndexFileInfo info;
+  info.version = header.version;
+  info.compression = header.reserved;
+  info.model_fingerprint = header.meta[0];
+  info.key_space = header.meta[1];
+  info.occurrence_count = header.meta[2];
+  info.bank_checksum = head.bank_checksum;
+  info.model_name.assign(reinterpret_cast<const char*>(head.body.data()),
+                         header.meta[3]);
   return info;
 }
 
 LoadedIndex load_index(const std::string& path, const index::SeedModel& model,
                        const bio::SequenceBank* bank, bool verify_checksum,
                        std::uint64_t expected_bank_checksum) {
-  MmapFile file = MmapFile::open(path);
-  FileHeader header = read_header(file, path);
-  if (header.reserved != kCompressionNone) {
-    // Decompress into an owned image and fall through: every check
-    // below (length, checksum, geometry) and the zero-copy span
-    // construction read the image exactly as they would a mapped
-    // uncompressed file.
-    file = decompress_store_image(std::move(file), path);
-    std::memcpy(&header, file.data(), sizeof(header));
-  }
-  if (header.payload_bytes != file.size() - sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "index payload length mismatch: " + path);
-  }
-  const std::uint8_t* payload = file.data() + sizeof(FileHeader);
-  if (verify_checksum &&
-      fnv1a64(payload, header.payload_bytes) != header.payload_checksum) {
-    throw StoreError(StoreErrorCode::kChecksum,
-                     "index payload checksum mismatch: " + path);
-  }
+  return decode_index(
+      read_store_file(path, FileKind::kIndex, verify_checksum), model, bank,
+      expected_bank_checksum);
+}
+
+LoadedIndex decode_index(StoreImage image, const index::SeedModel& model,
+                         const bio::SequenceBank* bank,
+                         std::uint64_t expected_bank_checksum) {
+  const FileHeader& header = image.header;
+  const std::string& path = image.path;
   if (header.meta[0] != model.fingerprint()) {
     throw StoreError(
         StoreErrorCode::kModelMismatch,
@@ -221,18 +113,16 @@ LoadedIndex load_index(const std::string& path, const index::SeedModel& model,
   // save_bank or inspect_bank); a recorded value that disagrees means
   // this index was built from a different bank. Either side being 0
   // (v1 file, or no expectation) skips the check.
-  const std::uint64_t recorded_bank_checksum =
-      read_bank_checksum(header, payload, path);
-  if (expected_bank_checksum != 0 && recorded_bank_checksum != 0 &&
-      recorded_bank_checksum != expected_bank_checksum) {
+  const IndexHead head = read_index_head(image);
+  if (expected_bank_checksum != 0 && head.bank_checksum != 0 &&
+      head.bank_checksum != expected_bank_checksum) {
     throw StoreError(StoreErrorCode::kBankMismatch,
                      "index belongs to a different bank (recorded bank "
                      "checksum disagrees): " +
                          path);
   }
-  const std::uint64_t extra = bank_checksum_bytes(header.version);
-  const std::uint64_t body_bytes = header.payload_bytes - extra;
-  const std::uint8_t* body = payload + extra;
+  const std::uint64_t body_bytes = head.body.size();
+  const std::uint8_t* body = head.body.data();
 
   // Section geometry, all bounds-checked against the payload length
   // before any span is formed. The element counts are file-controlled
@@ -273,8 +163,8 @@ LoadedIndex load_index(const std::string& path, const index::SeedModel& model,
     throw StoreError(StoreErrorCode::kCorrupt,
                      "index occurrences fall outside the bank: " + path);
   }
-  return LoadedIndex{std::move(file), std::move(table), std::move(model_name),
-                     recorded_bank_checksum};
+  return LoadedIndex{std::move(image.file), std::move(table),
+                     std::move(model_name), head.bank_checksum};
 }
 
 }  // namespace psc::store

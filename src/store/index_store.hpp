@@ -23,6 +23,7 @@
 #include "bio/sequence.hpp"
 #include "index/index_table.hpp"
 #include "index/seed_model.hpp"
+#include "store/format.hpp"
 #include "store/mmap_file.hpp"
 
 namespace psc::store {
@@ -78,5 +79,12 @@ LoadedIndex load_index(const std::string& path, const index::SeedModel& model,
                        const bio::SequenceBank* bank = nullptr,
                        bool verify_checksum = true,
                        std::uint64_t expected_bank_checksum = 0);
+
+/// The payload half of load_index, over a checked kIndex image (see
+/// read_store_file); the table views the image's bytes, so a plain
+/// file stays a zero-copy mapping.
+LoadedIndex decode_index(StoreImage image, const index::SeedModel& model,
+                         const bio::SequenceBank* bank = nullptr,
+                         std::uint64_t expected_bank_checksum = 0);
 
 }  // namespace psc::store

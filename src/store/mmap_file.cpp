@@ -31,16 +31,7 @@ void MmapFile::reset() noexcept {
   fallback_.clear();
 }
 
-MmapFile::MmapFile(MmapFile&& other) noexcept
-    : addr_(other.addr_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  if (!fallback_.empty()) addr_ = fallback_.data();
-  other.addr_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
+MmapFile::MmapFile(MmapFile&& other) noexcept { *this = std::move(other); }
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this == &other) return *this;

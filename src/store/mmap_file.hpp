@@ -35,7 +35,7 @@ class MmapFile {
 
   /// Wraps an owned byte buffer in the same read-only view interface,
   /// so a payload decompressed at load time flows through the exact
-  /// validation path a mapped file does (see compress.hpp).
+  /// validation path a mapped file does (see format.hpp).
   static MmapFile from_owned(std::vector<std::uint8_t> bytes);
 
   const std::uint8_t* data() const noexcept {

@@ -7,18 +7,12 @@
 
 #include "index/index_table.hpp"
 #include "store/bank_store.hpp"
-#include "store/format.hpp"
 #include "store/index_store.hpp"
-#include "store/mmap_file.hpp"
 #include "util/executor.hpp"
 
 namespace psc::store {
 
 namespace {
-
-std::uint64_t kind_code(bio::SequenceKind kind) {
-  return kind == bio::SequenceKind::kProtein ? 0 : 1;
-}
 
 /// The record's size inside a .pscbank payload (see bank_store.hpp).
 std::uint64_t encoded_record_bytes(bio::SequenceView seq) {
@@ -82,49 +76,21 @@ void save_manifest(const std::string& path, const ShardManifest& manifest) {
   // service refreshing mid-append either sees the old revision or the
   // new one, never a torn manifest.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw StoreError(StoreErrorCode::kIo,
-                       "cannot create manifest file: " + tmp);
-    }
-
-    FileHeader header;
-    header.magic = kManifestMagic;
-    header.meta[0] = kind_code(manifest.kind);
-    header.meta[1] = manifest.shards.size();
-    header.meta[2] = manifest.total_sequences;
-    header.meta[3] = manifest.total_residues;
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-
-    Fnv1a64 checksum;
-    std::uint64_t written = 0;
-    const auto write = [&](const void* data, std::size_t size) {
-      checksum.update(data, size);
-      out.write(static_cast<const char*>(data),
-                static_cast<std::streamsize>(size));
-      written += size;
-    };
-    const std::uint64_t set_checksum = fold_set_checksum(manifest.shards);
-    write(&set_checksum, sizeof(set_checksum));
-    write(&manifest.revision, sizeof(manifest.revision));  // v3+
-    for (const ShardInfo& shard : manifest.shards) {
-      write(&shard.sequence_base, sizeof(shard.sequence_base));
-      write(&shard.sequence_count, sizeof(shard.sequence_count));
-      write(&shard.residues, sizeof(shard.residues));
-      write(&shard.bank_checksum, sizeof(shard.bank_checksum));
-    }
-
-    header.payload_bytes = written;
-    header.payload_checksum = checksum.digest();
-    out.seekp(0);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.flush();
-    if (!out) {
-      throw StoreError(StoreErrorCode::kIo,
-                       "cannot write manifest file: " + tmp);
-    }
-  }
+  write_store_file(
+      tmp, FileKind::kManifest,
+      {kind_code(manifest.kind), manifest.shards.size(),
+       manifest.total_sequences, manifest.total_residues},
+      /*compress=*/false, [&](PayloadSink& sink) {
+        const std::uint64_t set_checksum = fold_set_checksum(manifest.shards);
+        sink.write(&set_checksum, sizeof(set_checksum));
+        sink.write(&manifest.revision, sizeof(manifest.revision));  // v3+
+        for (const ShardInfo& shard : manifest.shards) {
+          sink.write(&shard.sequence_base, sizeof(shard.sequence_base));
+          sink.write(&shard.sequence_count, sizeof(shard.sequence_count));
+          sink.write(&shard.residues, sizeof(shard.residues));
+          sink.write(&shard.bank_checksum, sizeof(shard.bank_checksum));
+        }
+      });
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     throw StoreError(StoreErrorCode::kIo,
@@ -133,44 +99,15 @@ void save_manifest(const std::string& path, const ShardManifest& manifest) {
 }
 
 ShardManifest load_manifest(const std::string& path, bool verify_checksum) {
-  const MmapFile file = MmapFile::open(path);
-  if (file.size() < sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "manifest truncated before header: " + path);
-  }
-  FileHeader header;
-  std::memcpy(&header, file.data(), sizeof(header));
-  if (header.magic != kManifestMagic) {
-    throw StoreError(StoreErrorCode::kBadMagic,
-                     "not a .pscman file: " + path);
-  }
-  // The manifest type was introduced with v2, so v1 is not a valid
-  // manifest version.
-  if (header.version < 2 || header.version > kFormatVersion) {
-    throw StoreError(StoreErrorCode::kBadVersion,
-                     "unsupported manifest format version " +
-                         std::to_string(header.version) + ": " + path);
-  }
-  if (header.reserved != kCompressionNone) {
-    // Manifests are never written compressed (they are a few hundred
-    // bytes); a tag here is damage, not a feature.
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "manifest compression tag out of range: " + path);
-  }
-  if (header.payload_bytes != file.size() - sizeof(FileHeader)) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "manifest payload length mismatch: " + path);
-  }
-  const std::uint8_t* payload = file.data() + sizeof(FileHeader);
-  if (verify_checksum &&
-      fnv1a64(payload, header.payload_bytes) != header.payload_checksum) {
-    throw StoreError(StoreErrorCode::kChecksum,
-                     "manifest payload checksum mismatch: " + path);
-  }
-  if (header.meta[0] > 1) {
-    throw StoreError(StoreErrorCode::kCorrupt,
-                     "manifest kind field out of range: " + path);
-  }
+  return decode_manifest(
+      read_store_file(path, FileKind::kManifest, verify_checksum));
+}
+
+ShardManifest decode_manifest(const StoreImage& image) {
+  const FileHeader& header = image.header;
+  const std::string& path = image.path;
+  const std::uint8_t* payload = image.payload().data();
+  const bio::SequenceKind kind = recorded_kind(header, "manifest", path);
 
   // Shard count is file-controlled: bound it against the payload length
   // before deriving any byte size that could wrap. v3 inserts the u64
@@ -192,8 +129,7 @@ ShardManifest load_manifest(const std::string& path, bool verify_checksum) {
 
   ShardManifest manifest;
   manifest.version = header.version;
-  manifest.kind = header.meta[0] == 0 ? bio::SequenceKind::kProtein
-                                      : bio::SequenceKind::kDna;
+  manifest.kind = kind;
   manifest.total_sequences = header.meta[2];
   manifest.total_residues = header.meta[3];
   std::memcpy(&manifest.set_checksum, payload, sizeof(std::uint64_t));
@@ -311,13 +247,16 @@ ShardManifest append_sharded_store(const std::string& prefix,
   }
   // The delta's index must be queryable alongside the resident shards:
   // reject a model that disagrees with what the store was built under
-  // before writing anything.
-  const IndexFileInfo first =
-      inspect_index(shard_prefix(prefix, 0) + ".pscidx");
-  if (first.model_fingerprint != model.fingerprint()) {
+  // before writing anything. The fingerprint is header meta[0], so only
+  // a mismatch pays for decoding the payload to name the store's model.
+  const std::string first_index = shard_prefix(prefix, 0) + ".pscidx";
+  if (read_header(MmapFile::open(first_index).bytes(), FileKind::kIndex,
+                  first_index)
+          .meta[0] != model.fingerprint()) {
     throw StoreError(StoreErrorCode::kModelMismatch,
                      "append index model disagrees with the store's (" +
-                         first.model_name + "): " + prefix);
+                         inspect_index(first_index).model_name + "): " +
+                         prefix);
   }
   if (delta.size() > std::numeric_limits<std::uint64_t>::max() -
                          manifest.total_sequences ||
@@ -357,10 +296,6 @@ ShardManifest append_sharded_store(const std::string& prefix,
   manifest.set_checksum = fold_set_checksum(manifest.shards);
   save_manifest(manifest_path(prefix), manifest);
   return manifest;
-}
-
-std::uint64_t read_manifest_revision(const std::string& path) {
-  return load_manifest(path).revision;
 }
 
 }  // namespace psc::store

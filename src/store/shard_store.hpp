@@ -35,6 +35,7 @@
 
 #include "bio/sequence.hpp"
 #include "index/seed_model.hpp"
+#include "store/format.hpp"
 
 namespace psc::store {
 
@@ -96,6 +97,10 @@ void save_manifest(const std::string& path, const ShardManifest& manifest);
 ShardManifest load_manifest(const std::string& path,
                             bool verify_checksum = true);
 
+/// The payload half of load_manifest, over a checked kManifest image
+/// (see read_store_file).
+ShardManifest decode_manifest(const StoreImage& image);
+
 /// Splits `bank` per plan_shards, writes each shard's .pscbank/.pscidx
 /// (the index built under `model`, with the shard's bank checksum
 /// recorded) and the manifest, and returns the manifest. Shards are
@@ -129,9 +134,5 @@ ShardManifest append_sharded_store(const std::string& prefix,
                                    std::size_t threads = 0,
                                    bool serial_index = false,
                                    bool compress = false);
-
-/// The revision recorded in the manifest at `path` (0 for v2 files),
-/// with full load_manifest validation behind it.
-std::uint64_t read_manifest_revision(const std::string& path);
 
 }  // namespace psc::store

@@ -324,6 +324,16 @@ TEST(RouterTest, MergedReplyIsByteIdenticalThroughTheFullStack) {
   EXPECT_TRUE(stats.replicas[1].up);
   EXPECT_GT(stats.replicas[0].requests, 0u);
   EXPECT_GT(stats.replicas[1].requests, 0u);
+
+  // A refresh passes the same prefix gate as a search: a prefix the
+  // front does not advertise is refused before the router sees it.
+  try {
+    client.refresh("some_other_bank");
+    FAIL() << "expected WireError";
+  } catch (const net::WireError& e) {
+    EXPECT_EQ(e.code(), net::WireErrorCode::kBankNotFound);
+  }
+  EXPECT_EQ(router.stats_snapshot().manifest_refreshes, 0u);
   front.stop();
 }
 

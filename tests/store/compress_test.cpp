@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,13 @@ void spit(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> stream,
+                                     std::uint64_t raw_size) {
+  std::vector<std::uint8_t> out;
+  lzss_decompress(stream, raw_size, "test", out);
+  return out;
+}
+
 StoreErrorCode code_of(const std::function<void()>& fn) {
   try {
     fn();
@@ -85,7 +93,7 @@ TEST(Lzss, RoundTripsRepetitiveRandomAndEmptyInputs) {
         random_bytes(3, 5)}) {
     const std::vector<std::uint8_t> stream = lzss_compress(raw);
     const std::vector<std::uint8_t> back =
-        lzss_decompress(stream, raw.size(), "test");
+        decompress(stream, raw.size());
     ASSERT_EQ(back, raw);
   }
   // The repetitive input really compresses (the point of the mode).
@@ -157,7 +165,7 @@ TEST(Lzss, TokenStreamMatchesGoldenDigests) {
     EXPECT_EQ(stream.size(), golden.size) << golden.name;
     EXPECT_EQ(fnv1a64(stream.data(), stream.size()), golden.digest)
         << golden.name;
-    EXPECT_EQ(lzss_decompress(stream, golden.raw.size(), "test"), golden.raw)
+    EXPECT_EQ(decompress(stream, golden.raw.size()), golden.raw)
         << golden.name;
   }
 }
@@ -167,12 +175,11 @@ TEST(Lzss, RejectsStructurallyImpossibleRawSize) {
   // any allocation of that size -- the hostile-header allocation guard.
   const std::vector<std::uint8_t> stream = lzss_compress(pattern_bytes(100));
   EXPECT_EQ(code_of([&] {
-              lzss_decompress(stream, stream.size() * kMaxExpansionRatio + 1,
-                              "test");
+              decompress(stream, stream.size() * kMaxExpansionRatio + 1);
             }),
             StoreErrorCode::kCorrupt);
   // An empty stream can only produce zero bytes.
-  EXPECT_EQ(code_of([&] { lzss_decompress({}, 1, "test"); }),
+  EXPECT_EQ(code_of([&] { decompress({}, 1); }),
             StoreErrorCode::kCorrupt);
 }
 
@@ -181,21 +188,21 @@ TEST(Lzss, RejectsTruncationTrailingBytesAndWrongRawSize) {
   std::vector<std::uint8_t> stream = lzss_compress(raw);
 
   std::vector<std::uint8_t> truncated(stream.begin(), stream.end() - 1);
-  EXPECT_EQ(code_of([&] { lzss_decompress(truncated, raw.size(), "test"); }),
+  EXPECT_EQ(code_of([&] { decompress(truncated, raw.size()); }),
             StoreErrorCode::kCorrupt);
 
   std::vector<std::uint8_t> padded = stream;
   padded.push_back(0);
-  EXPECT_EQ(code_of([&] { lzss_decompress(padded, raw.size(), "test"); }),
+  EXPECT_EQ(code_of([&] { decompress(padded, raw.size()); }),
             StoreErrorCode::kCorrupt);
 
   // Under-declared raw size: the stream produces more than promised.
-  EXPECT_EQ(code_of([&] { lzss_decompress(stream, raw.size() - 1, "test"); }),
+  EXPECT_EQ(code_of([&] { decompress(stream, raw.size() - 1); }),
             StoreErrorCode::kCorrupt);
 }
 
 TEST(Lzss, AppendsAfterTheCallersPrefixAndNeverReadsIt) {
-  // decompress_store_image decodes behind the header it already holds;
+  // The store reader decodes behind the header it already holds;
   // the header must stay as it was, and no match may copy from it.
   const std::vector<std::uint8_t> prefix(64, 0xab);
   const std::vector<std::uint8_t> raw = pattern_bytes(5000);
@@ -345,17 +352,19 @@ TEST(MmapFileTest, ZeroLengthFileIsAnEmptyViewNotAnErrno) {
   std::remove(path.c_str());
 }
 
-TEST(DecompressStoreImage, TagZeroIsTheUntouchedMmapFastPath) {
+TEST(StoreReader, PlainFileIsTheUntouchedMmapView) {
   const bio::SequenceBank bank = make_bank(43, 3, 40);
   const std::string path = temp_path("cmp_fastpath.pscbank");
   save_bank(path, bank);
   MmapFile file = MmapFile::open(path);
   const std::uint8_t* mapped = file.data();
   const std::size_t size = file.size();
-  const MmapFile same = decompress_store_image(std::move(file), path);
+  const FileHeader header = read_header(file.bytes(), FileKind::kBank, path);
+  const StoreImage same =
+      read_payload(std::move(file), header, FileKind::kBank, path);
   // Same mapping, same bytes: the uncompressed path stays zero-copy.
-  EXPECT_EQ(same.data(), mapped);
-  EXPECT_EQ(same.size(), size);
+  EXPECT_EQ(same.file.data(), mapped);
+  EXPECT_EQ(same.file.size(), size);
   std::remove(path.c_str());
 }
 
